@@ -9,8 +9,9 @@ key = value entries under [run], [schedule] and [params] sections); every
 run writes its resolved config next to its output, plus a checkpoint file
 keyed by family, parameters and bound so interrupted runs resume.  Bounds
 in schedules are parsed as exact decimal fractions, so reruns are
-reproducible bit for bit.  The STACKY_THREADS environment variable
-overrides the configured thread count.
+reproducible bit for bit.  `count` and `search` take their thread count
+from the --threads flag, else the STACKY_THREADS environment variable, else
+the config file (count only), else 1.
 """
 
 from __future__ import annotations
@@ -294,11 +295,28 @@ FAMILIES = {
 }
 
 
+def _thread_count(flag, configured=None) -> int:
+    """Threads from the flag, else STACKY_THREADS, else the config, else 1."""
+    if flag is not None:
+        threads = flag
+    elif os.environ.get("STACKY_THREADS"):
+        try:
+            threads = int(os.environ["STACKY_THREADS"])
+        except ValueError as e:
+            raise UsageError("STACKY_THREADS must be an integer") from e
+    else:
+        threads = configured if configured is not None else 1
+    if threads < 1:
+        raise UsageError("thread count must be >= 1")
+    return threads
+
+
 def load_config(args) -> RunConfig:
     family = args.family
     params: dict = {}
     b0, ratio, steps = args.b0, args.ratio, args.steps
-    fmt, threads, seed = args.format, args.threads, args.seed
+    fmt, seed = args.format, args.seed
+    conf_threads = None
     out = args.out
     if args.config:
         cp = configparser.ConfigParser()
@@ -309,7 +327,7 @@ def load_config(args) -> RunConfig:
             run = cp["run"]
             family = family or run.get("family")
             fmt = fmt or run.get("format")
-            threads = threads if threads is not None else run.getint("threads", fallback=None)
+            conf_threads = run.getint("threads", fallback=None)
             seed = seed if seed is not None else run.getint("seed", fallback=None)
             out = out or run.get("out")
         if "schedule" in cp:
@@ -325,12 +343,6 @@ def load_config(args) -> RunConfig:
         raise UsageError("no family given (flag --family or config [run] family)")
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}")
-    env_threads = os.environ.get("STACKY_THREADS")
-    if env_threads:
-        try:
-            threads = int(env_threads)
-        except ValueError as e:
-            raise UsageError("STACKY_THREADS must be an integer") from e
     return RunConfig(
         family=family,
         params=params,
@@ -338,7 +350,7 @@ def load_config(args) -> RunConfig:
         ratio=_rational(str(ratio if ratio is not None else 2)),
         steps=int(steps) if steps is not None else 4,
         format=fmt or "csv",
-        threads=int(threads) if threads is not None else 1,
+        threads=_thread_count(args.threads, conf_threads),
         seed=int(seed) if seed is not None else 0,
         out=Path(out) if out else Path("."),
     )
@@ -412,7 +424,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_search(args) -> int:
-    threads = args.threads or int(os.environ.get("STACKY_THREADS", "1") or 1)
+    threads = _thread_count(args.threads)
     if args.kind == "444":
         hits = vojta_search_444(args.cutoff, args.delta, threads=threads)
     else:

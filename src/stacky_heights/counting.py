@@ -100,8 +100,25 @@ def _isqrt_vec(z: np.ndarray) -> np.ndarray:
 
 
 def _power_free_window(lo: int, hi: int, m: int, primes) -> np.ndarray:
-    """Phi_m(k) for k in [lo, hi); primes must cover isqrt(hi - 1)."""
+    """Phi_m(k) for k in [lo, hi); primes must cover isqrt(hi - 1).
+
+    For m = 2 each k is divided by p^2 as often as it goes, touching only
+    the multiples of p^2, and what remains is the squarefree part.  Larger
+    m extracts every exponent and multiplies the complements back in.
+    """
     rem = np.arange(lo, hi, dtype=np.int64)
+    if m == 2:
+        for p in primes:
+            p2 = int(p) * int(p)
+            if p2 >= hi:
+                break
+            mult = rem[-(-lo // p2) * p2 - lo :: p2]  # view: multiples of p^2
+            mult //= p2
+            cur = np.nonzero(mult % p2 == 0)[0]
+            while len(cur):
+                mult[cur] //= p2
+                cur = cur[mult[cur] % p2 == 0]
+        return rem
     res = np.ones(hi - lo, dtype=np.int64)
     for p in primes:
         p = int(p)
@@ -284,11 +301,15 @@ def count_rooted3_at_0(B: Real) -> int:
 # Writing a = s x^2, b = t y^2 with s = sqf(a), t = sqf(b), the constraint
 # (with sqf(a+b) >= 1) forces s*t*max(s x^2, t y^2) <= T, which bounds the
 # candidates.  Candidates are grouped by v = a + b into segments, a
-# segmented sieve supplies sqf(v), and the final test runs in int64: the
-# product is formed as ((s*t) * max(a, b)) * sqf(v), whose first factor is
-# at most T by construction, so nothing overflows.
+# segmented sieve supplies u = sqf(v), and the final test runs in int64 as
+# s*t*max(a, b) <= T // u.  For integers this is the same as the product
+# being at most T, and no product is formed: s*t*max(a, b) <= T holds for
+# every candidate row by construction, and v <= 2T.  Only candidates that
+# pass the bound go on to the gcd test.  Everything stays exact while the
+# int64 square roots of the y-windows do, that is for 2T < 2^52.
 
-_F222_CHUNK = 4_000_000
+_F222_CHUNK = 1_000_000  # candidates per pass; each int64 temporary is 8 MB
+_F222_EXACT_LIMIT = 1 << 52  # _isqrt_vec is exact below this
 
 
 def _f222_rows(T: int):
@@ -352,32 +373,38 @@ def _f222_segment_count(seg_index: int) -> int:
         end = min(max(end, start + 1), len(live))
         rows = live[start:end]
         reps = counts[rows]
-        idx = np.repeat(np.arange(len(rows)), reps)
-        offsets = np.arange(len(idx)) - np.repeat(
-            np.concatenate(([0], np.cumsum(reps)))[:-1], reps
-        )
-        y = ylo[rows][idx] + offsets
-        a = rows_a[rows][idx]
-        t = rows_t[rows][idx]
-        st = rows_st[rows][idx]
-        b = t * y * y
-        v = a + b
-        u = seg_sqf[v - lo]
-        lhs = (st * np.maximum(a, b)) * u
-        ok = (lhs <= T) & (np.gcd(a, b) == 1)
-        total += int(np.count_nonzero(ok))
+        ridx = np.repeat(rows, reps)
+        # y runs from ylo upward within each row; b = t y^2 is built in place
+        b = np.arange(len(ridx), dtype=np.int64)
+        b += np.repeat(ylo[rows] - (np.cumsum(reps) - reps), reps)
+        b *= b
+        b *= rows_t[ridx]
+        a = rows_a[ridx]
+        u = seg_sqf[a + b - lo]
+        keep = rows_st[ridx] * np.maximum(a, b) <= T // u
+        total += int(np.count_nonzero(np.gcd(a[keep], b[keep]) == 1))
         start = end
     return total
 
 
 def count_football222(B: Real, threads: int = 1) -> int:
-    """Coprime pairs a, b >= 1 with sqf(a) sqf(b) sqf(a+b) max(a,b) < B^2."""
+    """Coprime pairs a, b >= 1 with sqf(a) sqf(b) sqf(a+b) max(a,b) < B^2.
+
+    Exact while 2T < 2^52, where T is the largest integer below B^2: that
+    is B^2 <= 2^51, or B up to about 4.7e7.  Larger bounds raise
+    ValueError rather than risk an inexact count.
+    """
     B = Fraction(B)
     if B <= 0:
         return 0
     T = _strict_floor(B * B)
     if T < 2:
         return 0
+    if 2 * T >= _F222_EXACT_LIMIT:
+        raise ValueError(
+            "count_football222 is exact only for B^2 <= 2^51 (B up to about "
+            f"4.7e7); got B = {B}"
+        )
     seg_size = min(SEGMENT_SIZE, 2 * T)
     _POOL_STATE["f222"] = {
         "T": T,
@@ -487,11 +514,20 @@ def _vojta444_block(block: tuple[int, int]) -> list[tuple[int, int]]:
     return out
 
 
+# Phi_4(k) <= k^3 for k <= 2 * cutoff must stay below 2^63.
+_V444_MAX_CUTOFF = (1 << 20) - 1
+
+
 def vojta_search_444(cutoff: int, delta, threads: int = 1) -> list[tuple[int, int]]:
     """Coprime pairs 1 <= a <= b <= cutoff with
     Phi_4(a) Phi_4(b) Phi_4(a+b) < max(a, b)^(1 - delta), sorted."""
     if cutoff < 1:
         return []
+    if cutoff > _V444_MAX_CUTOFF:
+        raise ValueError(
+            f"vojta_search_444 supports cutoff <= {_V444_MAX_CUTOFF}, where "
+            f"Phi_4 values up to (2 * cutoff)^3 fit in 64 bits; got {cutoff}"
+        )
     expo = 1 - _delta_fraction(delta)
     fexpo = float(expo)
     phi4 = sieve_power_free_parts(2 * cutoff, 4)

@@ -4,15 +4,9 @@ finding.  Used by the unit tests and the acceptance suite."""
 
 import cmath
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from stacky_heights.arith import factor, fundamental_discriminant, power_free_part
-from stacky_heights.counting import (
-    _pow_lt,
-    _spf_upto,
-    _sqf_of_product,
-    sieve_power_free_parts,
-)
 
 
 def naive_bmun(n, B):
@@ -85,29 +79,35 @@ def naive_quadratic_points(B):
 
 def naive_v444(cutoff, delta):
     expo = 1 - F(str(delta))
-    fexpo = float(expo)
-    phi4 = sieve_power_free_parts(2 * cutoff, 4)
+    p, q = expo.numerator, expo.denominator
+    phi4 = [0] + [power_free_part(k, 4) for k in range(1, 2 * cutoff + 1)]
     out = []
     for b in range(1, cutoff + 1):
-        thr = b**fexpo
+        thr = b ** float(expo)
         for a in range(1, b + 1):
             if gcd(a, b) != 1:
                 continue
-            v = int(phi4[a]) * int(phi4[b]) * int(phi4[a + b])
+            v = phi4[a] * phi4[b] * phi4[a + b]
             if v > thr * 1.001:  # cheap float reject; exact test near the line
                 continue
-            if _pow_lt(v, b, expo):
+            if v**q < b**p:
                 out.append((a, b))
     return sorted(out)
 
 
 def naive_ap5(cutoff, delta):
     expo = 1 - F(str(delta))
-    spf = _spf_upto(max(cutoff, 2))
+    p, q = expo.numerator, expo.denominator
+    fac = [()] + [factor(k).factors for k in range(1, cutoff + 1)]
     out = []
     for step in range(1, (cutoff - 1) // 4 + 1):
         for a1 in range(1, cutoff - 4 * step + 1):
             terms = tuple(a1 + k * step for k in range(5))
-            if _pow_lt(_sqf_of_product(terms, spf), terms[-1], expo):
+            odd = set()
+            for t in terms:
+                for prime, e in fac[t]:
+                    if e % 2:
+                        odd ^= {prime}
+            if prod(odd) ** q < terms[-1] ** p:
                 out.append(terms)
     return sorted(out)

@@ -199,6 +199,38 @@ def test_count_config_file_and_env_threads(tmp_path, capsys, monkeypatch):
     assert "threads = 2" in cfg_out.read_text()
 
 
+def test_threads_flag_beats_env_for_count_and_search(tmp_path, capsys, monkeypatch):
+    from stacky_heights import cli
+
+    # precedence is flag > STACKY_THREADS > config > 1 for both commands
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nfamily = bmun\nthreads = 3\n\n[schedule]\nb0 = 2\nsteps = 1\n")
+    for env, flag, want in (("2", ["--threads", "1"], 1), ("2", [], 2), ("", [], 3)):
+        monkeypatch.setenv("STACKY_THREADS", env)
+        out = tmp_path / f"out{want}"
+        code, _, err = run(capsys, "count", "--config", str(cfg), "--out", str(out), *flag)
+        assert code == 0, err
+        written = next(p for p in out.iterdir() if p.suffix == ".cfg")
+        assert f"threads = {want}" in written.read_text()
+
+    seen = []
+
+    def fake_search(cutoff, delta, threads=1):
+        seen.append(threads)
+        return []
+
+    monkeypatch.setenv("STACKY_THREADS", "2")
+    monkeypatch.setattr(cli, "vojta_search_444", fake_search)
+    monkeypatch.setattr(cli, "vojta_search_ap5", fake_search)
+    for kind in ("444", "ap5"):
+        run_json(capsys, "search", "--kind", kind, "--cutoff", "50", "--delta", "0.3", "--threads", "1")
+        run_json(capsys, "search", "--kind", kind, "--cutoff", "50", "--delta", "0.3")
+    assert seen == [1, 2, 1, 2]
+    monkeypatch.setenv("STACKY_THREADS", "two")
+    code, _, err = run(capsys, "search", "--kind", "444", "--cutoff", "50", "--delta", "0.3")
+    assert code == 2 and "STACKY_THREADS" in err
+
+
 def test_count_json_roundtrip_through_fit(tmp_path, capsys):
     run(
         capsys, "count", "--family", "bmun", "--n", "2", "--b0", "8", "--ratio", "2",
@@ -224,6 +256,12 @@ def test_search_subcommand(capsys):
         [8, 12, 16, 20, 24],
         [10, 15, 20, 25, 30],
     ]
+
+
+def test_search_444_cutoff_domain_error(capsys):
+    code, out, err = run(capsys, "search", "--kind", "444", "--cutoff", str(2**20), "--delta", "0.3")
+    assert code == 3 and out == ""
+    assert "vojta_search_444" in err and "1048575" in err
 
 
 def test_check_subcommand(capsys):

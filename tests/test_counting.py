@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stacky_heights.arith import power_free_part
 from stacky_heights.counting import (
@@ -55,9 +57,20 @@ def test_sieve_matches_per_element():
 
 
 def test_sieve_segmentation_equivalence():
-    full = sieve_power_free_parts(5000, 3)
-    seg = sieve_power_free_parts(5000, 3, segment_size=257)
-    assert np.array_equal(full, seg)
+    # segment sizes not aligned to p^2 start windows mid-period
+    for m in (2, 3):
+        full = sieve_power_free_parts(5000, m)
+        for size in (257, 4096):
+            seg = sieve_power_free_parts(5000, m, segment_size=size)
+            assert np.array_equal(full, seg), (m, size)
+        assert [int(v) for v in full[1:]] == [power_free_part(k, m) for k in range(1, 5001)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000), size=st.integers(1, 600))
+def test_sieve_squarefree_matches_per_element_property(n, size):
+    table = sieve_power_free_parts(n, 2, segment_size=size)
+    assert [int(v) for v in table[1:]] == [power_free_part(k, 2) for k in range(1, n + 1)]
 
 
 def test_count_bmun_examples():
@@ -94,6 +107,20 @@ def test_count_football222_examples():
 @pytest.mark.parametrize("B", [2, 3, 5, 8, 12, 20])
 def test_count_football222_matches_naive(B):
     assert count_football222(B) == naive_football222(B), B
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=st.fractions(min_value=0, max_value=8, max_denominator=12))
+def test_count_football222_matches_naive_property(B):
+    assert count_football222(B) == naive_football222(B), B
+
+
+def test_count_football222_domain_limit():
+    # exact while B^2 <= 2^51, which 47453132 + 5/7 meets and 47453132 + 6/7
+    # does not; the check comes before any sieving
+    for B in (47453133, F(47453132 * 7 + 6, 7)):
+        with pytest.raises(ValueError, match="count_football222"):
+            count_football222(B)
 
 
 def test_count_football222_threads_deterministic():
@@ -147,10 +174,18 @@ def test_vojta_444_examples():
     assert vojta_search_444(1, 0.5) == []
     assert vojta_search_444(100, 0.5) == naive_v444(100, 0.5)
     assert vojta_search_444(1000, 0.3) == naive_v444(1000, 0.3)
+    # the smaller cutoffs have no hits; this one compares a nonempty list
+    big = vojta_search_444(2000, 0.1)
+    assert big and big == naive_v444(2000, 0.1)
     # monotone in delta: harsher exponent keeps a subset
-    big = set(vojta_search_444(2000, 0.1))
     small = set(vojta_search_444(2000, 0.3))
-    assert small <= big
+    assert small <= set(big)
+
+
+def test_vojta_444_cutoff_domain_error():
+    # Phi_4 of a + b <= 2 * cutoff must fit in 64 bits: cutoff < 2^20
+    with pytest.raises(ValueError, match=r"vojta_search_444 .*1048575"):
+        vojta_search_444(2**20, 0.3)
 
 
 def test_vojta_444_known_hit():
