@@ -238,7 +238,6 @@ class RunConfig:
     steps: int = 4
     format: str = "csv"
     threads: int = 1
-    seed: int = 0
     out: Path = Path(".")
 
     def __post_init__(self):
@@ -270,7 +269,6 @@ class RunConfig:
             "family": self.family,
             "format": self.format,
             "threads": str(self.threads),
-            "seed": str(self.seed),
             "out": str(self.out),
         }
         cp["schedule"] = {
@@ -315,7 +313,7 @@ def load_config(args) -> RunConfig:
     family = args.family
     params: dict = {}
     b0, ratio, steps = args.b0, args.ratio, args.steps
-    fmt, seed = args.format, args.seed
+    fmt = args.format
     conf_threads = None
     out = args.out
     if args.config:
@@ -328,7 +326,6 @@ def load_config(args) -> RunConfig:
             family = family or run.get("family")
             fmt = fmt or run.get("format")
             conf_threads = run.getint("threads", fallback=None)
-            seed = seed if seed is not None else run.getint("seed", fallback=None)
             out = out or run.get("out")
         if "schedule" in cp:
             sched = cp["schedule"]
@@ -351,7 +348,6 @@ def load_config(args) -> RunConfig:
         steps=int(steps) if steps is not None else 4,
         format=fmt or "csv",
         threads=_thread_count(args.threads, conf_threads),
-        seed=int(seed) if seed is not None else 0,
         out=Path(out) if out else Path("."),
     )
 
@@ -494,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, help="bmun modulus")
     c.add_argument("--format", choices=["csv", "json", "plot"])
     c.add_argument("--threads", type=int)
-    c.add_argument("--seed", type=int)
     c.add_argument("--out", help="output directory")
     c.add_argument("--resume", action="store_true", help="reuse checkpointed samples")
     c.set_defaults(fn=cmd_count)

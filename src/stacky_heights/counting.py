@@ -18,6 +18,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -284,13 +285,12 @@ def count_rooted3_at_0(B: Real) -> int:
     total = 0
     for a in range(1, R + 1):
         f = int(phi3[a])
-        ps = _distinct_primes(a)
-        if f * a**4 <= T:
-            # all 1 <= b <= a coprime to a; counts (1, 1) once via a = 1
-            total += _coprime_upto(a, ps)
-        cap = _iroot(T // f, 4)
-        if cap > a:
-            total += _coprime_upto(cap, ps) - _coprime_upto(a, ps)
+        if f * a**4 > T:
+            continue  # then no b works: max(a, b) >= a
+        # every b <= cap coprime to a, where cap = max(a, largest b with
+        # f b^4 <= T); counts (1, 1) once via a = 1
+        cap = _iroot(T // f, 4) if f * (a + 1) ** 4 <= T else a
+        total += _coprime_upto(cap, _distinct_primes(a))
     return total
 
 
@@ -422,6 +422,64 @@ def count_football222(B: Real, threads: int = 1) -> int:
 
 # ----------------------------------------------------------------------
 # quadratic points (degree-2 points of the line by Mahler measure)
+#
+# For real roots M(ax^2 + bx + c) = max(a, |c|, (|b| + sqrt(disc)) / 2),
+# and (|b| + sqrt(disc)) / 2 < Y is the same as |b| < 2Y with
+# Y |b| < Y^2 + ac.  For complex roots M = max(a, |c|), and b^2 < 4ac gives
+# Y |b| < 2 Y sqrt(ac) <= Y^2 + ac.  So once a and |c| are below Y, the
+# forms with M < Y = p/q are exactly those with p q |b| < p^2 + a c q^2
+# (which also forces |b| < 2Y): each (a, c) contributes 2 bmax + 1 forms.
+# Since a |c| q^2 < p^2 the numerator lies in (0, 2 p^2), so int64 is exact
+# for p < 2^31.
+
+_QP_CELLS = 1 << 18  # (a, c) cells per block; each int64 temporary is 2 MB
+_QP_NUMERATOR_LIMIT = 1 << 31
+
+
+def _quadratic_bmax(p: int, q: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Largest |b| with M(a x^2 + b x + c) < p/q, elementwise.
+
+    Needs 1 <= a < p/q, |c| < p/q and p < 2^31 (int64 stays exact).
+    """
+    return (p * p - 1 + a * c * (q * q)) // (p * q)
+
+
+def _count_all_forms(p: int, q: int) -> int:
+    """Forms a x^2 + b x + c (a >= 1, any b and c, reducible and imprimitive
+    included) with Mahler measure below p/q, walked in blocks of rows a."""
+    top = (p - 1) // q  # a and |c| are at most this
+    if top < 1:
+        return 0
+    c = np.arange(-top, top + 1, dtype=np.int64)
+    rows = max(1, _QP_CELLS // len(c))
+    total = 0
+    for lo in range(1, top + 1, rows):
+        a = np.arange(lo, min(lo + rows, top + 1), dtype=np.int64)[:, None]
+        total += int(_quadratic_bmax(p, q, a, c).sum())
+    return 2 * total + top * len(c)
+
+
+def _totient_upto(limit: int) -> np.ndarray:
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in _primes_upto(limit).tolist():
+        phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def _count_reducible(T2: int) -> int:
+    """Primitive reducible forms with a >= 1 and Mahler measure <= T2 >= 1.
+
+    By Gauss's lemma these are the unordered pairs of primitive linear
+    forms p x + q with p >= 1, and M(f g) = max(p, |q|) max(r, |s|).  There
+    are L(1) = 3 linear forms of height 1 and L(h) = 4 phi(h) of height
+    h >= 2, so the count is (sum_{h1 h2 <= T2} L(h1) L(h2) + sum_{h^2 <= T2}
+    L(h)) / 2, summed in Python integers.
+    """
+    L = (4 * _totient_upto(T2)).tolist()
+    L[0], L[1] = 0, 3
+    S = list(accumulate(L))  # S[n] = L(1) + ... + L(n)
+    ordered = sum(L[h] * S[T2 // h] for h in range(1, T2 + 1))
+    return (ordered + S[math.isqrt(T2)]) // 2
 
 
 def count_quadratic_points(B: Real) -> int:
@@ -429,7 +487,13 @@ def count_quadratic_points(B: Real) -> int:
 
     Equals twice the number of primitive irreducible integer quadratics
     with positive leading coefficient and Mahler measure strictly below
-    B^2 (each form carries a conjugate pair of points).
+    X = B^2 (each form carries a conjugate pair of points).  All forms with
+    M < X/d are counted in O((X/d)^2) closed-form cells, primitive ones
+    come from Moebius inversion over d (M(d f) = d M(f)), and the
+    reducible ones are counted as pairs of linear factors: O(B^4) in all.
+
+    X = num/den must have den <= 1000, and the count is exact in int64 for
+    num < 2^31 (B up to about 46 340); larger bounds raise ValueError.
     """
     B = Fraction(B)
     if B <= 0:
@@ -437,39 +501,22 @@ def count_quadratic_points(B: Real) -> int:
     X = B * B  # Mahler measure bound
     if X.denominator > 1000:
         raise ValueError("the bound B^2 must have denominator at most 1000")
-    T2 = _strict_floor(X)  # integer measures m pass iff m <= T2
+    num, den = X.numerator, X.denominator
+    if num >= _QP_NUMERATOR_LIMIT:
+        raise ValueError(
+            "count_quadratic_points is exact only while the numerator of B^2 "
+            f"is below 2^31; got B^2 = {X}"
+        )
+    T2 = _strict_floor(X)  # M < X/d needs d <= T2
     if T2 < 1:
         return 0
-    num, den = X.numerator, X.denominator
-    # M >= max(|a|, |c|) and M >= |b|/2 bound the coefficient box
-    amax = T2
-    cmax = T2
-    bmax = 2 * T2 + 1
-    b = np.arange(-bmax, bmax + 1, dtype=np.int64)[:, None]
-    c = np.arange(-cmax, cmax + 1, dtype=np.int64)[None, :]
-    absb = np.abs(b)
-    absc = np.abs(c)
-    total = 0
-    for a in range(1, amax + 1):
-        disc = b * b - 4 * a * c
-        nonneg = disc >= 0
-        root = np.zeros_like(disc)
-        root[nonneg] = _isqrt_vec(disc[nonneg])
-        irreducible = ~nonneg | (root * root != disc)
-        primitive = np.gcd(np.gcd(np.int64(a), b), c) == 1
-
-        both_in = nonneg & (absb <= 2 * a) & (disc <= (2 * a - absb) ** 2)
-        both_out = nonneg & (absb <= 2 * absc) & (disc <= (2 * absc - absb) ** 2)
-        int_case = ~nonneg | both_in | both_out
-        m_int = np.where(
-            ~nonneg, np.maximum(np.int64(a), absc), np.where(both_in, np.int64(a), absc)
-        )
-        ok_int = int_case & (m_int <= T2)
-        # irrational case: M = (|b| + sqrt(disc)) / 2 < X, scaled by 2 den
-        w = 2 * num - den * absb
-        ok_irr = ~int_case & (w > 0) & (den * den * disc < w * w)
-        total += int(np.count_nonzero((ok_int | ok_irr) & irreducible & primitive))
-    return 2 * total
+    mu = _mobius_upto(T2)
+    primitive = sum(
+        int(mu[d]) * _count_all_forms(num, den * d)
+        for d in range(1, T2 + 1)
+        if mu[d]
+    )
+    return 2 * (primitive - _count_reducible(T2))
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,6 @@
 counting kernels: plain loops, per-element factorizations, float root
 finding.  Used by the unit tests and the acceptance suite."""
 
-import cmath
 from fractions import Fraction as F
 from math import gcd, isqrt, prod
 
@@ -57,22 +56,51 @@ def naive_rooted3(B):
     return cnt
 
 
+def _abs_range(lo, hi):
+    """The range of |r| for r in [lo, hi]."""
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return F(0), max(-lo, hi)
+
+
+def _mahler_below(a, b, c, X):
+    """Exact M(a x^2 + b x + c) < X for a >= 1 and a non-square discriminant.
+
+    M = a * max(1, |r1|) * max(1, |r2|) straight from the roots.  Complex
+    roots have |r|^2 = c/a exactly.  Real roots are bracketed through an
+    integer square root of disc at resolution 1/K, and K grows until the
+    bracket of M clears X; one that never does means M = X.
+    """
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return a * max(1, F(c, a)) < X
+    K = 1 << 64
+    while K <= 1 << 1024:
+        s_lo = F(isqrt(disc * K * K), K)
+        s_hi = s_lo + F(1, K)
+        lo1, hi1 = _abs_range((-b + s_lo) / (2 * a), (-b + s_hi) / (2 * a))
+        lo2, hi2 = _abs_range((-b - s_hi) / (2 * a), (-b - s_lo) / (2 * a))
+        if a * max(1, hi1) * max(1, hi2) < X:
+            return True
+        if a * max(1, lo1) * max(1, lo2) >= X:
+            return False
+        K = K * K
+    return False
+
+
 def naive_quadratic_points(B):
-    T2 = B * B
+    X = F(B) ** 2
+    R = X.numerator // X.denominator + 1  # a, |c| < X and |b| < 2X
     cnt = 0
-    for a in range(1, T2):
-        for b in range(-2 * T2, 2 * T2 + 1):
-            for c in range(-T2 + 1, T2):
+    for a in range(1, R + 1):
+        for b in range(-2 * R, 2 * R + 1):
+            for c in range(-R, R + 1):
                 disc = b * b - 4 * a * c
                 if disc >= 0 and isqrt(disc) ** 2 == disc:
                     continue
-                if gcd(gcd(a, b), c) != 1:
-                    continue
-                s = cmath.sqrt(complex(disc))
-                m = a * max(1, abs((-b + s) / (2 * a))) * max(1, abs((-b - s) / (2 * a)))
-                if abs(m - T2) < 1e-7:
-                    continue  # integer boundary measure: strict bound excludes
-                if m < T2:
+                if gcd(gcd(a, b), c) == 1 and _mahler_below(a, b, c, X):
                     cnt += 1
     return 2 * cnt
 

@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import os
@@ -197,6 +198,27 @@ def test_count_config_file_and_env_threads(tmp_path, capsys, monkeypatch):
     assert len(rows) == 3 and all(len(r.split()) == 2 for r in rows)
     cfg_out = next(p for p in tmp_path.iterdir() if p.suffix == ".cfg" and p != cfg)
     assert "threads = 2" in cfg_out.read_text()
+
+
+def test_count_config_with_legacy_seed_key(tmp_path, capsys):
+    # `count` has no seed (no family is randomized); an old config that
+    # still sets one loads and gives the same counts
+    base = "[run]\nfamily = rooted3\n{}\n[schedule]\nb0 = 2\nratio = 2\nsteps = 3\n"
+    reports = []
+    for extra in ("", "seed = 5\n"):
+        cfg = tmp_path / f"run{len(reports)}.cfg"
+        cfg.write_text(base.format(extra))
+        out = tmp_path / f"out{len(reports)}"
+        code, text, err = run(capsys, "count", "--config", str(cfg), "--out", str(out))
+        assert code == 0, err
+        reports.append(json.loads(text))
+        written = configparser.ConfigParser()
+        written.read(next(p for p in out.iterdir() if p.suffix == ".cfg"))
+        assert "seed" not in written["run"]
+    assert reports[0]["samples"] == reports[1]["samples"]
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--family", "rooted3", "--seed", "5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_threads_flag_beats_env_for_count_and_search(tmp_path, capsys, monkeypatch):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stacky_heights.arith import power_free_part
+from stacky_heights.arith import mahler_measure_lt, power_free_part
 from stacky_heights.counting import (
     CountReport,
+    _count_reducible,
+    _quadratic_bmax,
     count_bmun,
     count_football222,
     count_quadratic_fields,
@@ -149,7 +151,8 @@ def test_count_rooted3_examples():
     assert count_rooted3_at_0(2) == naive_rooted3(2)
 
 
-@pytest.mark.parametrize("B", [2, 3, 5, 10, 17, F(49, 10)])
+# at B = 257/100 the largest integer below B^3 is 16 = 1 * (1 + 1)^4
+@pytest.mark.parametrize("B", [2, 3, 5, 10, 17, F(49, 10), F(257, 100)])
 def test_count_rooted3_matches_naive(B):
     assert count_rooted3_at_0(B) == naive_rooted3(B), B
 
@@ -158,11 +161,82 @@ def test_count_quadratic_points_examples():
     assert count_quadratic_points(1) == 0
     assert count_quadratic_points(2) == 202
     assert count_quadratic_points(3) == 3414
+    # values of the O(B^6) box enumeration this counter replaced
+    pinned = {
+        F(9, 2): 50_494,
+        6: 282_630,
+        F(27, 4): 593_286,
+        F(81, 8): 6_953_470,
+        12: 19_351_718,
+        14: 49_062_114,
+    }
+    for B, n in pinned.items():
+        assert count_quadratic_points(B) == n, B
 
 
-@pytest.mark.parametrize("B", [1, 2, 3])
+@pytest.mark.parametrize("B", [1, 2, 3, F(3, 2), F(5, 2), F(7, 3)])
 def test_count_quadratic_points_matches_naive(B):
     assert count_quadratic_points(B) == naive_quadratic_points(B), B
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.fractions(min_value=0, max_value=3, max_denominator=12))
+def test_count_quadratic_points_matches_naive_property(B):
+    assert count_quadratic_points(B) == naive_quadratic_points(B), B
+
+
+def test_quadratic_b_range_is_symmetric_initial_segment():
+    # the counter relies on this: for fixed (a, c) the passing b >= 0 are
+    # 0..bmax, M is even in b, and bmax is the closed form of the kernel
+    for Y in (F(3, 2), F(7, 3), F(11, 2), F(9), F(40, 3), F(21), F(30)):
+        bs = range(2 * math.ceil(Y) + 3)  # M >= |b| / 2 rules out the rest
+        for a in range(1, 30):
+            for c in range(-40, 41):
+                ok = [mahler_measure_lt(a, b, c, Y) for b in bs]
+                assert ok == [mahler_measure_lt(a, -b, c, Y) for b in bs], (a, c, Y)
+                n = sum(ok)
+                assert ok == [True] * n + [False] * (len(ok) - n), (a, c, Y)
+                if a < Y and abs(c) < Y:
+                    bmax = _quadratic_bmax(Y.numerator, Y.denominator, np.int64(a), np.int64(c))
+                    assert bmax == n - 1, (a, c, Y)
+
+
+def test_count_reducible_matches_bruteforce():
+    # primitive forms with a square discriminant, by the exact measure test
+    for X in (F(3, 2), F(2), F(3), F(7, 2), F(4), F(5), F(6), F(25, 4)):
+        R = math.ceil(X)
+        brute = sum(
+            1
+            for a in range(1, R + 1)
+            for b in range(-2 * R, 2 * R + 1)
+            for c in range(-R, R + 1)
+            if b * b - 4 * a * c >= 0
+            and math.isqrt(b * b - 4 * a * c) ** 2 == b * b - 4 * a * c
+            and math.gcd(math.gcd(a, b), c) == 1
+            and mahler_measure_lt(a, b, c, X)
+        )
+        assert _count_reducible(math.ceil(X) - 1) == brute, X  # M <= T2 iff M < X
+
+
+def test_count_quadratic_points_domain_limit():
+    # exact while the numerator of B^2 is below 2^31: 46340^2 is, 46341^2 is
+    # not; the check comes before any work
+    for B in (46341, F(46341, 31)):
+        with pytest.raises(ValueError, match="count_quadratic_points"):
+            count_quadratic_points(B)
+    # at the largest admissible numerator the int64 cells are still exact
+    p = (1 << 31) - 1
+    for q in (1, 1000, 999 * 46337):
+        top = (p - 1) // q
+        a = np.array([1, top], dtype=np.int64)[:, None]
+        c = np.array([-top, -1, 0, 1, top], dtype=np.int64)
+        got = _quadratic_bmax(p, q, a, c)
+        Y = F(p, q)
+        for i, ai in enumerate((1, top)):
+            for j, cj in enumerate(c.tolist()):
+                # largest |b| with Y |b| < Y^2 + ac
+                want = math.ceil((Y * Y + ai * cj) / Y) - 1
+                assert int(got[i, j]) == want, (q, ai, cj)
 
 
 def test_count_quadratic_points_monotone():
