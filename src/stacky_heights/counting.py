@@ -4,22 +4,23 @@ All counts and searches are exact: bounds arrive as rationals (floats are
 taken at their exact binary value), get converted to integer thresholds,
 and every comparison on the hot paths is integer arithmetic.  Results are
 deterministic and independent of the thread count; parallelism only splits
-work across segments whose partial results are exact integers summed in a
-fixed order.
+work into blocks whose partial results are exact integers or hit lists,
+combined in a fixed order.  Workers are threads running closures, so a
+call keeps no module-level state and concurrent calls do not interfere.
 
 The heavy enumeration (pairs with three squarefree-part constraints) runs
-on segmented numpy sieves that extract prime exponents per window; segment
-size follows SEGMENT_SIZE.
+on segmented numpy sieves that extract prime exponents per window; the
+football222 segment size follows SEGMENT_SIZE.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,17 +41,20 @@ __all__ = [
 
 Real = Union[int, float, Fraction]
 
-SEGMENT_SIZE = 1 << 24
-
-# Shared tables for forked pool workers, keyed per call site.
-_POOL_STATE: dict = {}
+SEGMENT_SIZE = 1 << 24  # football222 segment: values v = a + b per window
+_SIEVE_WINDOW = 1 << 18  # sieve_power_free_parts window; temporaries ~2 MB
 
 
 def _run_parallel(fn, tasks: Sequence, threads: int) -> list:
-    """Map fn over tasks; results always come back in task order."""
+    """Map fn over tasks on up to `threads` threads, results in task order.
+
+    fn should call only private helpers: a tracer wrapping the public
+    functions (sieve_power_free_parts, factor) keeps one call stack per
+    process, which calls from several threads would interleave.
+    """
     if threads <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -146,7 +150,7 @@ def _power_free_window(lo: int, hi: int, m: int, primes) -> np.ndarray:
 
 
 def sieve_power_free_parts(
-    limit: int, m: int, segment_size: int = SEGMENT_SIZE
+    limit: int, m: int, segment_size: int = _SIEVE_WINDOW
 ) -> np.ndarray:
     """Array A with A[k] = power_free_part(k, m) for 1 <= k <= limit.
 
@@ -341,15 +345,10 @@ def _f222_rows(T: int):
     return tuple(np.concatenate(p) for p in (a_parts, t_parts, st_parts, ymax_parts))
 
 
-def _f222_segment_count(seg_index: int) -> int:
-    state = _POOL_STATE["f222"]
-    T = state["T"]
-    rows_a, rows_t, rows_st, rows_ymax = state["rows"]
-    lo = 2 + seg_index * state["segment_size"]
-    hi = min(lo + state["segment_size"], 2 * T + 1)
-    if lo >= hi:
-        return 0
-    seg_sqf = _power_free_window(lo, hi, 2, state["primes"])
+def _f222_segment_count(lo: int, hi: int, T: int, rows, primes) -> int:
+    """Candidates with v = a + b in [lo, hi) that pass the full test."""
+    rows_a, rows_t, rows_st, rows_ymax = rows
+    seg_sqf = _power_free_window(lo, hi, 2, primes)
 
     # y-window of each row whose v = a + t y^2 lands in [lo, hi)
     zlo = np.maximum(lo - rows_a, 1)
@@ -406,18 +405,13 @@ def count_football222(B: Real, threads: int = 1) -> int:
             f"4.7e7); got B = {B}"
         )
     seg_size = min(SEGMENT_SIZE, 2 * T)
-    _POOL_STATE["f222"] = {
-        "T": T,
-        "rows": _f222_rows(T),
-        "primes": _primes_upto(math.isqrt(2 * T)),
-        "segment_size": seg_size,
-    }
-    try:
-        n_segments = (2 * T - 1 + seg_size - 1) // seg_size
-        parts = _run_parallel(_f222_segment_count, range(n_segments), threads)
-    finally:
-        _POOL_STATE.pop("f222", None)
-    return sum(parts)
+    rows = _f222_rows(T)
+    primes = _primes_upto(math.isqrt(2 * T))
+
+    def segment(lo: int) -> int:
+        return _f222_segment_count(lo, min(lo + seg_size, 2 * T + 1), T, rows, primes)
+
+    return sum(_run_parallel(segment, range(2, 2 * T + 1, seg_size), threads))
 
 
 # ----------------------------------------------------------------------
@@ -536,38 +530,17 @@ def _pow_lt(value: int, base: int, expo: Fraction) -> bool:
     return value ** expo.denominator < base**expo.numerator
 
 
-def _vojta444_block(block: tuple[int, int]) -> list[tuple[int, int]]:
-    state = _POOL_STATE["v444"]
-    phi4 = state["phi4"]
-    a_cand = state["a_cand"]
-    expo = state["expo"]
-    fexpo = float(expo)
-    out: list[tuple[int, int]] = []
-    lo, hi = block
-    for b in state["b_cand"][lo:hi].tolist():
-        a = a_cand[a_cand <= b]
-        a = a[np.gcd(a, np.int64(b)) == 1]
-        if len(a) == 0:
-            continue
-        # factors reach ~8e15, so the triple product needs float64 headroom;
-        # anything near the threshold is re-tested in exact integers
-        prod = phi4[a].astype(np.float64) * float(phi4[b]) * phi4[a + b]
-        thr = float(b) ** fexpo
-        for i in np.nonzero(prod < thr * (1 + 1e-9))[0].tolist():
-            ai = int(a[i])
-            exact = int(phi4[ai]) * int(phi4[b]) * int(phi4[ai + b])
-            if _pow_lt(exact, b, expo):
-                out.append((ai, b))
-    return out
-
-
 # Phi_4(k) <= k^3 for k <= 2 * cutoff must stay below 2^63.
 _V444_MAX_CUTOFF = (1 << 20) - 1
+_V444_BLOCK = 128  # b-candidates per block, each against all a-candidates
 
 
 def vojta_search_444(cutoff: int, delta, threads: int = 1) -> list[tuple[int, int]]:
     """Coprime pairs 1 <= a <= b <= cutoff with
-    Phi_4(a) Phi_4(b) Phi_4(a+b) < max(a, b)^(1 - delta), sorted."""
+    Phi_4(a) Phi_4(b) Phi_4(a+b) < max(a, b)^(1 - delta), sorted.
+
+    Exact for cutoff <= 2^20 - 1; larger cutoffs raise ValueError.
+    """
     if cutoff < 1:
         return []
     if cutoff > _V444_MAX_CUTOFF:
@@ -582,20 +555,43 @@ def vojta_search_444(cutoff: int, delta, threads: int = 1) -> list[tuple[int, in
     # each factor must individually beat the bound it contributes to
     b_cand = n[phi4[1 : cutoff + 1] < n.astype(np.float64) ** fexpo * (1 + 1e-9)]
     a_cand = n[phi4[1 : cutoff + 1] < float(cutoff) ** fexpo * (1 + 1e-9)]
-    _POOL_STATE["v444"] = {
-        "phi4": phi4,
-        "a_cand": a_cand,
-        "b_cand": b_cand,
-        "expo": expo,
-    }
-    try:
-        nblocks = max(1, min(threads, len(b_cand)))
-        bounds = np.linspace(0, len(b_cand), nblocks + 1).astype(int)
-        blocks = list(zip(bounds[:-1], bounds[1:]))
-        parts = _run_parallel(_vojta444_block, blocks, threads)
-    finally:
-        _POOL_STATE.pop("v444", None)
+    # floats carry a 1e-9 margin; whatever passes them is tested exactly
+    b_thr = b_cand.astype(np.float64) ** fexpo * (1 + 1e-9)
+
+    def block(lo: int) -> list[tuple[int, int]]:
+        b = b_cand[lo : lo + _V444_BLOCK, None]
+        a = a_cand[None, : np.searchsorted(a_cand, b[-1, 0], side="right")]
+        thr = b_thr[lo : lo + _V444_BLOCK, None]
+        fb = phi4[b].astype(np.float64)
+        i, j = np.nonzero((a <= b) & (phi4[a] * fb < thr))
+        a, b, thr = a[0, j], b[i, 0], thr[i, 0]
+        keep = phi4[a] * fb[i, 0] * phi4[a + b] < thr
+        a, b = a[keep], b[keep]
+        keep = np.gcd(a, b) == 1
+        return [
+            (x, y)
+            for x, y in zip(a[keep].tolist(), b[keep].tolist())
+            if _pow_lt(int(phi4[x]) * int(phi4[y]) * int(phi4[x + y]), y, expo)
+        ]
+
+    parts = _run_parallel(block, range(0, len(b_cand), _V444_BLOCK), threads)
     return sorted(p for part in parts for p in part)
+
+
+# Five-term APs a_i = a + i d.  A prime p >= 5 dividing two terms divides
+# their difference, a multiple of d by at most 4, so p | g = gcd(a, d) and
+# then p divides all five.  So with u_i = sqf(a_i) stripped of 2 and 3,
+# rg = the product of the primes p >= 5 of g, and tau_i = u_i / gcd(u_i, rg),
+# the tau_i are pairwise coprime and
+#   sqf(a_0 ... a_4) = tau_0 ... tau_4 * prod_{p in {2, 3} or p | rg}
+#                      p^(sum_i v_p(a_i) mod 2).
+# Since tau_i >= u_i / rg, a hit needs u_0 u_1 u_2 / rg^3 < cutoff^(1-delta):
+# that prefilter reads three contiguous slices of u per step d.  Its
+# product reaches cutoff^3, which bounds the exact range.
+
+_AP5_MAX_CUTOFF = (1 << 21) - 1  # u_0 u_1 u_2 <= cutoff^3 < 2^63
+_AP5_BATCH = 1 << 16  # prefilter survivors per _ap5_batch_hits call
+_AP5_STEP_COST = 1024  # per-step overhead in a-values, for the block split
 
 
 def _spf_upto(limit: int) -> np.ndarray:
@@ -610,108 +606,124 @@ def _spf_upto(limit: int) -> np.ndarray:
     return spf
 
 
-def _sqf_of_product(terms: Iterable[int], spf: np.ndarray) -> int:
-    parity: dict[int, int] = {}
-    for t in terms:
-        while t > 1:
-            p = int(spf[t])
-            e = 0
-            while t % p == 0:
-                t //= p
-                e += 1
-            parity[p] = parity.get(p, 0) ^ (e & 1)
-    out = 1
-    for p, odd in parity.items():
-        if odd:
-            out *= p
+def _primes_from_5(d: int, spf: np.ndarray) -> list[int]:
+    """The distinct primes p >= 5 dividing d."""
+    out = []
+    while d > 1:
+        p = int(spf[d])
+        while d % p == 0:
+            d //= p
+        if p >= 5:
+            out.append(p)
     return out
 
 
-def _radical_upto(limit: int) -> np.ndarray:
-    rad = np.ones(limit + 1, dtype=np.int64)
-    for p in _primes_upto(limit).tolist():
-        rad[p::p] *= p
-    return rad
+def _ap5_exact(a, d, rg, sqf: np.ndarray, expo: Fraction) -> np.ndarray:
+    """Mask of the rows whose squarefree part of the product is below
+    (a + 4d)^expo, by the factorization above; only rows within 1e-9 of
+    the threshold in floats are decided in Python integers."""
+    primes_s = 6 * rg  # its prime set is {2, 3} and the primes of rg
+    taus = np.empty((5, len(a)), dtype=np.int64)
+    rest = np.ones(len(a), dtype=np.int64)  # squarefree, primes in primes_s
+    for i in range(5):
+        s = sqf[a + i * d]
+        w = np.gcd(s, primes_s)
+        taus[i] = s // w
+        g = np.gcd(rest, w)
+        rest = (rest // g) * (w // g)  # primes of odd total exponent so far
+    value = rest.astype(np.float64)
+    for t in taus:
+        value *= t
+    thr = (a + 4 * d).astype(np.float64) ** float(expo)
+    hit = value < thr * (1 - 1e-9)
+    for i in np.nonzero(~hit & (value < thr * (1 + 1e-9)))[0].tolist():
+        exact = math.prod(taus[:, i].tolist()) * int(rest[i])
+        hit[i] = _pow_lt(exact, int(a[i] + 4 * d[i]), expo)
+    return hit
 
 
-def _vojta_ap5_block(block: tuple[int, int]) -> list[tuple[int, ...]]:
-    state = _POOL_STATE["ap5"]
-    cutoff = state["cutoff"]
-    sqf6 = state["sqf6"]
-    rad6 = state["rad6"]
-    spf = state["spf"]
-    expo = state["expo"]
-    fexpo = float(expo)
-    # primes shared between AP terms divide 6 or gcd(a, step), so the
-    # {2,3,gcd}-stripped squarefree parts multiply into sqf(product):
-    # tau_i >= sqf6(a_i) / rad6(gcd) gives an exact pairwise prefilter.
-    thr_pair = int(float(cutoff) ** fexpo * (1 + 1e-9)) + 1
-    out: list[tuple[int, ...]] = []
-    lo, hi = block
-    for step in range(lo, hi):
-        n_a = cutoff - 4 * step
-        if n_a < 1:
-            break
-        a = np.arange(1, n_a + 1, dtype=np.int64)
-        # gcd(a, step) is periodic in a; tile one period
-        base = np.gcd(np.arange(1, step + 1, dtype=np.int64), np.int64(step))
-        rg = rad6[np.tile(base, n_a // step + 1)[:n_a]]
-        u0 = sqf6[a]
-        u1 = sqf6[a + step]
-        cand = np.nonzero(u0 * u1 < thr_pair * rg * rg)[0]
-        if len(cand) == 0:
-            continue
-        ac = a[cand]
-        rc = rg[cand]
-        taus = []
-        for i in range(5):
-            ui = sqf6[ac + i * step]
-            taus.append(ui // np.gcd(ui, rc))
-        prod = taus[0].astype(np.float64)
-        for i in range(1, 5):
-            prod = prod * taus[i]
-        top = (ac + 4 * step).astype(np.float64)
-        keep = np.nonzero(prod < top**fexpo * (1 + 1e-9))[0]
-        for i in keep.tolist():
-            a1 = int(ac[i])
-            terms = tuple(a1 + k * step for k in range(5))
-            s = _sqf_of_product(terms, spf)
-            thr = float(terms[-1]) ** fexpo
-            if s < thr * (1 - 1e-9) or (
-                s < thr * (1 + 1e-9) and _pow_lt(s, terms[-1], expo)
-            ):
-                out.append(terms)
-    return out
+def _ap5_batch_hits(
+    batch: list, u: np.ndarray, sqf: np.ndarray, expo: Fraction
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, d) of the hits among a batch of prefilter survivors.
+
+    batch holds (a values, d, product of the primes p >= 5 of d) per step.
+    A float pass keeps the rows whose tau product is below (a + 4d)^expo
+    with a 1e-9 margin; only those go to the exact retest.
+    """
+    a = np.concatenate([x for x, _, _ in batch])
+    lens = [len(x) for x, _, _ in batch]
+    d = np.repeat([d for _, d, _ in batch], lens)
+    rg = np.gcd(a, np.repeat([r for _, _, r in batch], lens))
+    prod = np.ones(len(a))
+    for i in range(5):
+        ui = u[a + i * d]
+        prod *= ui // np.gcd(ui, rg)
+    keep = prod < (a + 4 * d).astype(np.float64) ** float(expo) * (1 + 1e-9)
+    a, d, rg = a[keep], d[keep], rg[keep]
+    hit = _ap5_exact(a, d, rg, sqf, expo)
+    return a[hit], d[hit]
 
 
 def vojta_search_ap5(
     cutoff: int, delta, threads: int = 1
 ) -> list[tuple[int, int, int, int, int]]:
     """Five-term APs a, a+d, ..., a+4d (a, d >= 1, last term <= cutoff) with
-    sqf(product of the five terms) < (a + 4d)^(1 - delta), sorted."""
+    sqf(product of the five terms) < (a + 4d)^(1 - delta), sorted.
+
+    Exact for cutoff <= 2^21 - 1, where the int64 prefilter cannot wrap;
+    larger cutoffs raise ValueError.
+    """
     if cutoff < 5:
         return []
+    if cutoff > _AP5_MAX_CUTOFF:
+        raise ValueError(
+            f"vojta_search_ap5 supports cutoff <= {_AP5_MAX_CUTOFF}, where "
+            f"products of three squarefree parts fit in 64 bits; got {cutoff}"
+        )
     expo = 1 - _delta_fraction(delta)
+    fexpo = float(expo)
     dmax = (cutoff - 1) // 4
     sqf = sieve_power_free_parts(cutoff, 2)
-    sqf6 = sqf // np.gcd(sqf, np.int64(6))
-    rad = _radical_upto(cutoff)
-    rad6 = rad // np.gcd(rad, np.int64(6))
-    _POOL_STATE["ap5"] = {
-        "cutoff": cutoff,
-        "sqf6": sqf6,
-        "rad6": rad6,
-        "spf": _spf_upto(cutoff),
-        "expo": expo,
-    }
-    try:
-        nblocks = max(1, min(threads, dmax))
-        bounds = np.linspace(1, dmax + 1, nblocks + 1).astype(int)
-        blocks = list(zip(bounds[:-1], bounds[1:]))
-        parts = _run_parallel(_vojta_ap5_block, blocks, threads)
-    finally:
-        _POOL_STATE.pop("ap5", None)
-    return sorted(p for part in parts for p in part)
+    u = sqf // np.gcd(sqf, np.int64(6))
+    spf = _spf_upto(dmax)
+    # an integer >= cutoff^(1 - delta): x below that power has floor(x) < thr
+    thr = int(float(cutoff) ** fexpo * (1 + 1e-9)) + 1
+
+    def block(steps: tuple[int, int]) -> list[tuple]:
+        out, batch, size = [], [], 0
+        for d in range(*steps):
+            n = cutoff - 4 * d
+            prod = u[1 : n + 1] * u[1 + d : n + 1 + d]
+            prod *= u[1 + 2 * d : n + 1 + 2 * d]
+            # floor(prod / rg^3): divide the multiples of each p by p^3
+            primes = _primes_from_5(d, spf)
+            for p in primes:
+                prod[p - 1 :: p] //= p**3
+            idx = np.flatnonzero(prod < thr)
+            if len(idx):
+                batch.append((idx + 1, d, math.prod(primes)))
+                size += len(idx)
+            if size >= _AP5_BATCH:
+                out.append(_ap5_batch_hits(batch, u, sqf, expo))
+                batch, size = [], 0
+        if batch:
+            out.append(_ap5_batch_hits(batch, u, sqf, expo))
+        return out
+
+    # blocks of equal cost: step d walks cutoff - 4d values of a
+    cost = np.cumsum(cutoff - 4 * np.arange(1, dmax + 1) + _AP5_STEP_COST)
+    nblocks = max(1, threads)
+    cuts = np.searchsorted(cost, cost[-1] * np.arange(1, nblocks) / nblocks) + 1
+    edges = [1, *cuts.tolist(), dmax + 1]
+    parts = _run_parallel(block, list(zip(edges[:-1], edges[1:])), threads)
+    found = [p for part in parts for p in part]
+    if not found:
+        return []
+    a, d = (np.concatenate(col) for col in zip(*found))
+    order = np.lexsort((d, a))
+    terms = a[order, None] + d[order, None] * np.arange(5)
+    return [tuple(t) for t in terms.tolist()]
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adelic import ExactHeight, height_from_sections
-from .arith import factor
+from .arith import factor, ord_p
 
 __all__ = [
     "WeightedPoint",
@@ -53,17 +53,8 @@ class WeightedPoint:
         if g <= 1:
             return True
         return not any(
-            all(_ord(m, p) >= a for m, a in nz) for p, _ in factor(g).factors
+            all(ord_p(m, p) >= a for m, a in nz) for p, _ in factor(g).factors
         )
-
-
-def _ord(n: int, p: int) -> int:
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def minimal_form(weights, coords) -> WeightedPoint:
@@ -82,7 +73,7 @@ def minimal_form(weights, coords) -> WeightedPoint:
     g = math.gcd(*(abs(m) for m, _ in nz))
     if g > 1:
         for p, _ in factor(g).factors:
-            k = min(_ord(m, p) // a for m, a in nz)
+            k = min(ord_p(m, p) // a for m, a in nz)
             if k > 0:
                 for i, a in enumerate(pt.weights):
                     if coords[i]:

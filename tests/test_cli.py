@@ -286,6 +286,12 @@ def test_search_444_cutoff_domain_error(capsys):
     assert "vojta_search_444" in err and "1048575" in err
 
 
+def test_search_ap5_cutoff_domain_error(capsys):
+    code, out, err = run(capsys, "search", "--kind", "ap5", "--cutoff", str(2**21), "--delta", "0.3")
+    assert code == 3 and out == ""
+    assert "vojta_search_ap5" in err and "2097151" in err
+
+
 def test_check_subcommand(capsys):
     code, out, _ = run(capsys, "check", "--samples", "60", "--seed", "3")
     assert code == 0

@@ -1,11 +1,12 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stacky_heights.arith import mahler_measure_lt, power_free_part
@@ -60,7 +61,7 @@ def test_sieve_matches_per_element():
 
 def test_sieve_segmentation_equivalence():
     # segment sizes not aligned to p^2 start windows mid-period
-    for m in (2, 3):
+    for m in (2, 3, 4):
         full = sieve_power_free_parts(5000, m)
         for size in (257, 4096):
             seg = sieve_power_free_parts(5000, m, segment_size=size)
@@ -73,6 +74,13 @@ def test_sieve_segmentation_equivalence():
 def test_sieve_squarefree_matches_per_element_property(n, size):
     table = sieve_power_free_parts(n, 2, segment_size=size)
     assert [int(v) for v in table[1:]] == [power_free_part(k, 2) for k in range(1, n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000), m=st.integers(3, 5), size=st.integers(1, 600))
+def test_sieve_power_free_matches_per_element_property(n, m, size):
+    table = sieve_power_free_parts(n, m, segment_size=size)
+    assert [int(v) for v in table[1:]] == [power_free_part(k, m) for k in range(1, n + 1)]
 
 
 def test_count_bmun_examples():
@@ -281,6 +289,69 @@ def test_vojta_ap5_examples():
 def test_vojta_threads_deterministic():
     assert vojta_search_444(3000, 0.3, threads=2) == vojta_search_444(3000, 0.3)
     assert vojta_search_ap5(2000, 0.3, threads=2) == vojta_search_ap5(2000, 0.3)
+
+
+@pytest.mark.parametrize("cutoff", [5, 9, 12, 13, 40, 257, 1500])
+def test_vojta_thread_count_invariance(cutoff):
+    # cutoffs 5 to 12 have one or two steps d, fewer than three blocks
+    ap5 = [vojta_search_ap5(cutoff, F(1, 4), threads=t) for t in (1, 2, 3)]
+    v444 = [vojta_search_444(4 * cutoff, F(1, 10), threads=t) for t in (1, 2, 3)]
+    assert ap5[0] == ap5[1] == ap5[2]
+    assert v444[0] == v444[1] == v444[2]
+
+
+_DELTAS = st.sampled_from([F(1, 10), F(1, 4), F(3, 10), F(2, 5)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cutoff=st.integers(1, 600), delta=_DELTAS)
+@example(cutoff=32, delta=F(1, 4))  # hit (4, 11, 18, 25, 32) on the last step d
+@example(cutoff=900, delta=F(1, 2))  # (300, ..., 900): sqf 30 = 900^(1/2), no hit
+def test_vojta_ap5_matches_naive_property(cutoff, delta):
+    assert vojta_search_ap5(cutoff, delta) == naive_ap5(cutoff, delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cutoff=st.integers(1, 600), delta=_DELTAS)
+def test_vojta_444_matches_naive_property(cutoff, delta):
+    assert vojta_search_444(cutoff, delta) == naive_v444(cutoff, delta)
+
+
+def test_vojta_benchmark_size_hit_counts():
+    assert len(vojta_search_ap5(20000, 0.3)) == 10840
+    assert len(vojta_search_ap5(15000, 0.25)) == 9941
+    assert len(vojta_search_444(990000, 0.2)) == 5
+
+
+def test_vojta_ap5_cutoff_domain_error():
+    # the prefilter product u0 u1 u2 <= cutoff^3 fits in int64 below 2^21
+    from stacky_heights.counting import _AP5_MAX_CUTOFF
+
+    assert _AP5_MAX_CUTOFF == 2**21 - 1
+    assert _AP5_MAX_CUTOFF**3 < 2**63 <= (_AP5_MAX_CUTOFF + 1) ** 3
+    with pytest.raises(ValueError, match=r"vojta_search_ap5 .*2097151"):
+        vojta_search_ap5(2**21, 0.3)
+
+
+def test_concurrent_calls_match_serial(monkeypatch):
+    # several calls at once, each with its own thread pool, must not see
+    # each other's state; small segments give football222 many work items
+    from concurrent.futures import ThreadPoolExecutor
+
+    from stacky_heights import counting
+
+    monkeypatch.setattr(counting, "SEGMENT_SIZE", 4096)
+    jobs = [(count_football222, (B,)) for B in (150, 170, 190, 210)]
+    jobs += [(vojta_search_ap5, (1500, 0.3)), (vojta_search_444, (3000, 0.1))]
+    serial = [fn(*args) for fn, args in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often to expose shared state
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            futures = [pool.submit(fn, *args, threads=2) for fn, args in jobs]
+            assert [f.result(timeout=120) for f in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_fit_synthetic():
