@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .adelic import ExactHeight, height_from_sections
-from .arith import factor, fundamental_discriminant
+from .arith import factor, fundamental_discriminant, power_free_part, power_free_reduce
 
 __all__ = [
     "PowerClass",
@@ -62,11 +62,7 @@ def class_of(x: Rational, n: int) -> PowerClass:
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no power class")
-    rep = 1
-    for p, e in factor(x.numerator).factors:
-        rep *= p ** (e % n)
-    for p, e in factor(x.denominator).factors:
-        rep *= p ** ((-e) % n)
+    rep = abs(power_free_reduce(x.numerator, n)[0]) * power_free_part(x.denominator, n)
     if n % 2 == 0 and x < 0:
         rep = -rep
     return PowerClass(n, rep)

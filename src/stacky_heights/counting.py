@@ -8,9 +8,12 @@ work into blocks whose partial results are exact integers or hit lists,
 combined in a fixed order.  Workers are threads running closures, so a
 call keeps no module-level state and concurrent calls do not interfere.
 
-The heavy enumeration (pairs with three squarefree-part constraints) runs
-on segmented numpy sieves that extract prime exponents per window; the
-football222 segment size follows SEGMENT_SIZE.
+Every arithmetic table (Moebius, squarefree flags, totients, prime
+divisors, power-free parts) is built in the "sieve tables" section from
+one prime list, _primes_upto, by strided numpy walks over the multiples
+of each prime.  The heavy enumeration (pairs with three squarefree-part
+constraints) runs on segmented windows of those walks; the football222
+segment size follows SEGMENT_SIZE.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -68,28 +71,17 @@ def _floor(x: Fraction) -> int:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0."""
+    """Floor of the k-th root of n >= 0, by integer Newton from above."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
-def _primes_upto(bound: int) -> np.ndarray:
-    if bound < 2:
-        return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(bound + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _isqrt_vec(z: np.ndarray) -> np.ndarray:
@@ -100,8 +92,67 @@ def _isqrt_vec(z: np.ndarray) -> np.ndarray:
     return r
 
 
+def _ragged_arange(lens: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each n in lens, concatenated."""
+    return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(lens) - lens, lens
+    )
+
+
 # ----------------------------------------------------------------------
-# power-free-part sieves
+# sieve tables: _primes_upto is the one prime source; every other table is
+# a strided numpy walk over the multiples of its primes
+
+
+def _primes_upto(bound: int) -> np.ndarray:
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.nonzero(sieve)[0].astype(np.int64)
+
+
+def _mobius_upto(limit: int) -> np.ndarray:
+    """mu[d] for 0 <= d <= limit (mu[0] = 0).
+
+    Each prime p <= sqrt(limit) flips the sign of its multiples, zeroes
+    those of p^2 and is divided out once; a squarefree d keeps at most one
+    prime above sqrt(limit), which is what remains of it.
+    """
+    mu = np.ones(limit + 1, dtype=np.int64)
+    mu[0] = 0
+    rem = np.arange(limit + 1, dtype=np.int64)
+    for p in _primes_upto(math.isqrt(limit)).tolist():
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+        rem[::p] //= p
+    mu[rem > 1] *= -1
+    return mu
+
+
+def _squarefree_flags(limit: int) -> np.ndarray:
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[0] = False
+    for p in _primes_upto(math.isqrt(limit)).tolist():
+        flags[p * p :: p * p] = False
+    return flags
+
+
+def _totient_upto(limit: int) -> np.ndarray:
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in _primes_upto(limit).tolist():
+        phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def _prime_divisors_from_5(limit: int) -> list[list[int]]:
+    """out[d] lists the primes p >= 5 dividing d, ascending, for d <= limit."""
+    out: list[list[int]] = [[] for _ in range(limit + 1)]
+    for p in _primes_upto(limit)[2:].tolist():
+        for d in range(p, limit + 1, p):
+            out[d].append(p)
+    return out
 
 
 def _power_free_window(lo: int, hi: int, m: int, primes) -> np.ndarray:
@@ -175,34 +226,11 @@ def sieve_power_free_parts(
 # power classes and quadratic fields
 
 
-def _mobius_upto(limit: int) -> np.ndarray:
-    mu = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        mu[1] = 1
-    primes: list[int] = []
-    is_comp = np.zeros(limit + 1, dtype=bool)
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > limit:
-                break
-            is_comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
-
-
 def _count_power_free_upto(X: int, m: int) -> int:
     """Number of m-power-free integers in [1, X], by Moebius inversion."""
-    if X < 1:
-        return 0
     root = _iroot(X, m)
-    mu = _mobius_upto(root)
-    return int(sum(int(mu[d]) * (X // d**m) for d in range(1, root + 1)))
+    mu = _mobius_upto(root).tolist()
+    return sum(mu[d] * (X // d**m) for d in range(1, root + 1) if mu[d])
 
 
 def count_bmun(n: int, B: Real) -> int:
@@ -219,15 +247,6 @@ def count_bmun(n: int, B: Real) -> int:
     X = _floor(B**n)
     c = _count_power_free_upto(X, n)
     return 2 * c if n % 2 == 0 else c
-
-
-def _squarefree_flags(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[0] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        p2 = p * p
-        flags[p2::p2] = False
-    return flags
 
 
 def count_quadratic_fields(X: Real) -> int:
@@ -260,18 +279,11 @@ def _distinct_primes(n: int) -> list[int]:
 
 def _coprime_upto(bound: int, prime_list: Sequence[int]) -> int:
     """#{1 <= k <= bound : k coprime to all listed primes}."""
-    if bound <= 0:
-        return 0
-    total = 0
-    for mask in range(1 << len(prime_list)):
-        d = 1
-        bits = 0
-        for i, p in enumerate(prime_list):
-            if mask >> i & 1:
-                d *= p
-                bits += 1
-        total += (bound // d) if bits % 2 == 0 else -(bound // d)
-    return total
+    return sum(
+        (-1) ** k * (bound // math.prod(c))
+        for k in range(len(prime_list) + 1)
+        for c in combinations(prime_list, k)
+    )
 
 
 def count_rooted3_at_0(B: Real) -> int:
@@ -283,8 +295,6 @@ def count_rooted3_at_0(B: Real) -> int:
     if T < 1:
         return 0
     R = _iroot(T, 4)
-    if R < 1:
-        return 0
     phi3 = sieve_power_free_parts(R, 3)
     total = 0
     for a in range(1, R + 1):
@@ -317,32 +327,23 @@ _F222_EXACT_LIMIT = 1 << 52  # _isqrt_vec is exact below this
 
 
 def _f222_rows(T: int):
-    """Row table (a, t, st, ymax) over coprime squarefree (s, t) and x."""
-    smax = math.isqrt(T)
-    sqfree = np.nonzero(_squarefree_flags(smax))[0].tolist()
-    a_parts, t_parts, st_parts, ymax_parts = [], [], [], []
-    for s in sqfree:
-        if s * s > T:
-            break
-        tcap = min(T // (s * s), math.isqrt(T // s))
-        for t in sqfree:
-            if t > tcap:
-                break
-            if s * t * t > T or math.gcd(s, t) != 1:
-                continue
-            xmax = math.isqrt(T // (s * s * t))
-            ymax = math.isqrt(T // (s * t * t))
-            if xmax < 1 or ymax < 1:
-                continue
-            x = np.arange(1, xmax + 1, dtype=np.int64)
-            a_parts.append(s * x * x)
-            t_parts.append(np.full(xmax, t, dtype=np.int64))
-            st_parts.append(np.full(xmax, s * t, dtype=np.int64))
-            ymax_parts.append(np.full(xmax, ymax, dtype=np.int64))
-    if not a_parts:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy(), z.copy()
-    return tuple(np.concatenate(p) for p in (a_parts, t_parts, st_parts, ymax_parts))
+    """Row table (a, t, st, ymax) over coprime squarefree (s, t) and x.
+
+    Rows run through s, then t, then x in increasing order.  Every pair
+    kept has s^2 t <= T and s t^2 <= T, so xmax, ymax >= 1.
+    """
+    sqfree = np.flatnonzero(_squarefree_flags(math.isqrt(T)))
+    tcap = np.minimum(T // (sqfree * sqfree), _isqrt_vec(T // sqfree))
+    ntc = np.searchsorted(sqfree, tcap, side="right")
+    s = np.repeat(sqfree, ntc)
+    t = sqfree[_ragged_arange(ntc)]
+    coprime = np.gcd(s, t) == 1
+    s, t = s[coprime], t[coprime]
+    xmax = _isqrt_vec(T // (s * s * t))
+    pair = np.repeat(np.arange(len(s)), xmax)
+    x = _ragged_arange(xmax) + 1
+    ymax = _isqrt_vec(T // (s * t * t))
+    return s[pair] * x * x, t[pair], (s * t)[pair], ymax[pair]
 
 
 def _f222_segment_count(lo: int, hi: int, T: int, rows, primes) -> int:
@@ -362,8 +363,7 @@ def _f222_segment_count(lo: int, hi: int, T: int, rows, primes) -> int:
     if len(live) == 0:
         return 0
 
-    c_live = counts[live]
-    cum = np.cumsum(c_live)
+    cum = np.cumsum(counts[live])
     total = 0
     start = 0
     while start < len(live):
@@ -451,13 +451,6 @@ def _count_all_forms(p: int, q: int) -> int:
         a = np.arange(lo, min(lo + rows, top + 1), dtype=np.int64)[:, None]
         total += int(_quadratic_bmax(p, q, a, c).sum())
     return 2 * total + top * len(c)
-
-
-def _totient_upto(limit: int) -> np.ndarray:
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in _primes_upto(limit).tolist():
-        phi[p::p] -= phi[p::p] // p
-    return phi
 
 
 def _count_reducible(T2: int) -> int:
@@ -594,30 +587,6 @@ _AP5_BATCH = 1 << 16  # prefilter survivors per _ap5_batch_hits call
 _AP5_STEP_COST = 1024  # per-step overhead in a-values, for the block split
 
 
-def _spf_upto(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-            spf[i * i :: i] = sl
-    rest = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[rest] = rest
-    return spf
-
-
-def _primes_from_5(d: int, spf: np.ndarray) -> list[int]:
-    """The distinct primes p >= 5 dividing d."""
-    out = []
-    while d > 1:
-        p = int(spf[d])
-        while d % p == 0:
-            d //= p
-        if p >= 5:
-            out.append(p)
-    return out
-
-
 def _ap5_exact(a, d, rg, sqf: np.ndarray, expo: Fraction) -> np.ndarray:
     """Mask of the rows whose squarefree part of the product is below
     (a + 4d)^expo, by the factorization above; only rows within 1e-9 of
@@ -686,7 +655,7 @@ def vojta_search_ap5(
     dmax = (cutoff - 1) // 4
     sqf = sieve_power_free_parts(cutoff, 2)
     u = sqf // np.gcd(sqf, np.int64(6))
-    spf = _spf_upto(dmax)
+    divisors = _prime_divisors_from_5(dmax)
     # an integer >= cutoff^(1 - delta): x below that power has floor(x) < thr
     thr = int(float(cutoff) ** fexpo * (1 + 1e-9)) + 1
 
@@ -697,7 +666,7 @@ def vojta_search_ap5(
             prod = u[1 : n + 1] * u[1 + d : n + 1 + d]
             prod *= u[1 + 2 * d : n + 1 + 2 * d]
             # floor(prod / rg^3): divide the multiples of each p by p^3
-            primes = _primes_from_5(d, spf)
+            primes = divisors[d]
             for p in primes:
                 prod[p - 1 :: p] //= p**3
             idx = np.flatnonzero(prod < thr)

@@ -5,7 +5,12 @@ finding.  Used by the unit tests and the acceptance suite."""
 from fractions import Fraction as F
 from math import gcd, isqrt, prod
 
-from stacky_heights.arith import factor, fundamental_discriminant, power_free_part
+from stacky_heights.arith import (
+    factor,
+    fundamental_discriminant,
+    power_free_part,
+    squarefree_part,
+)
 
 
 def naive_bmun(n, B):
@@ -41,6 +46,26 @@ def naive_football222(B):
             if v < T:
                 cnt += 1
     return cnt
+
+
+def naive_f222_rows(T):
+    """The f222 kernel's row table as (a, t, s t, ymax) tuples, by plain loops.
+
+    s, t run over coprime squarefree pairs with s^2 t <= T and s t^2 <= T,
+    then x over 1 <= x with s^2 t x^2 <= T, and a = s x^2.
+    """
+    rows = []
+    for s in range(1, isqrt(T) + 1):
+        if squarefree_part(s) != s:
+            continue
+        t = 1
+        while s * s * t <= T and s * t * t <= T:
+            if squarefree_part(t) == t and gcd(s, t) == 1:
+                ymax = isqrt(T // (s * t * t))
+                for x in range(1, isqrt(T // (s * s * t)) + 1):
+                    rows.append((s * x * x, t, s * t, ymax))
+            t += 1
+    return rows
 
 
 def naive_rooted3(B):

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from stacky_heights.arith import factor
 from stacky_heights.cli import main, parse_cycles, parse_line
 
 
@@ -148,6 +149,21 @@ def test_count_run_writes_outputs(tmp_path, capsys):
     assert len(csv_lines) == 5
     cfg_text = (tmp_path / f"{run_id}.cfg").read_text()
     assert "[schedule]" in cfg_text and "b0 = 8" in cfg_text
+
+
+def test_count_bmun_with_huge_power(tmp_path, capsys):
+    # B^n = 50^200 has 340 digits, yet its 200th root is only 50
+    obj = run_json(
+        capsys, "count", "--family", "bmun", "--n", "200", "--b0", "50",
+        "--steps", "1", "--out", str(tmp_path),
+    )
+    X = 50**200
+    mobius = 0
+    for d in range(1, 51):
+        fs = factor(d).factors
+        if all(e == 1 for _, e in fs):
+            mobius += (-1) ** len(fs) * (X // d**200)
+    assert obj["samples"] == [[50.0, 2 * mobius]]
 
 
 def test_count_checkpoint_resume(tmp_path, capsys):

@@ -9,10 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stacky_heights.arith import mahler_measure_lt, power_free_part
+from stacky_heights.arith import factor, mahler_measure_lt, power_free_part
 from stacky_heights.counting import (
     CountReport,
     _count_reducible,
+    _f222_rows,
+    _iroot,
+    _mobius_upto,
+    _prime_divisors_from_5,
     _quadratic_bmax,
     count_bmun,
     count_football222,
@@ -28,6 +32,7 @@ from stacky_heights.counting import (
 from oracles import (
     naive_ap5,
     naive_bmun,
+    naive_f222_rows,
     naive_football222,
     naive_quadratic_fields,
     naive_quadratic_points,
@@ -83,6 +88,57 @@ def test_sieve_power_free_matches_per_element_property(n, m, size):
     assert [int(v) for v in table[1:]] == [power_free_part(k, m) for k in range(1, n + 1)]
 
 
+def _mobius(d):
+    fs = factor(d).factors
+    return 0 if any(e > 1 for _, e in fs) else (-1) ** len(fs)
+
+
+def test_mobius_upto_matches_factor():
+    ref = [0] + [_mobius(d) for d in range(1, 3001)]
+    for limit in range(3001):
+        assert _mobius_upto(limit).tolist() == ref[: limit + 1], limit
+
+
+def test_prime_divisors_from_5_matches_factor():
+    table = _prime_divisors_from_5(5000)
+    assert table[0] == []
+    for d in range(1, 5001):
+        assert table[d] == [p for p, _ in factor(d).factors if p >= 5], d
+
+
+@pytest.mark.parametrize("T", [2, 8, 99, 22_499, 1_439_999])
+def test_f222_rows_match_plain_loops(T):
+    rows = list(zip(*(col.tolist() for col in _f222_rows(T))))
+    assert rows == naive_f222_rows(T)
+
+
+def test_iroot_exact_at_every_size():
+    rng = random.Random(7)
+    cases = [(n, k) for n in range(300) for k in range(1, 6)]
+    cases += [(rng.getrandbits(rng.randint(1, 3000)), rng.randint(1, 12)) for _ in range(500)]
+    cases += [(r**k + e, k) for r in (2**53 + 1, 3**90) for k in (2, 3, 7) for e in (-1, 0, 1)]
+    for n, k in cases:
+        r = _iroot(n, k)
+        assert r**k <= n < (r + 1) ** k, (n, k)
+
+
+@pytest.mark.parametrize("n, B", [(200, 50), (50, 30), (64, F(7, 2))])
+def test_count_bmun_large_n_matches_moebius_sum(n, B):
+    # the n-th root of B^n is about B, whatever the size of B^n
+    X = int(F(B) ** n)
+    root = int(F(B))
+    c = sum(_mobius(d) * (X // d**n) for d in range(1, root + 1))
+    assert count_bmun(n, B) == 2 * c
+
+
+def test_count_pinned_values():
+    assert count_bmun(2, 10**4) == 121_585_388
+    assert count_bmun(2, 10**5) == 12_158_541_884
+    assert count_bmun(3, 10**4) == 831_907_372_522
+    assert count_bmun(3, 10**5) == 831_907_372_580_692
+    assert count_football222(1200) == 21_869
+
+
 def test_count_bmun_examples():
     assert count_bmun(2, 1) == 2
     assert count_bmun(2, 2) == 6
@@ -95,6 +151,12 @@ def test_count_bmun_matches_naive(n):
         assert count_bmun(n, B) == naive_bmun(n, B), (n, B)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), B=st.fractions(min_value=0, max_value=6, max_denominator=8))
+def test_count_bmun_matches_naive_property(n, B):
+    assert count_bmun(n, B) == naive_bmun(n, B), (n, B)
+
+
 def test_count_quadratic_fields_examples():
     assert count_quadratic_fields(2) == 0
     assert count_quadratic_fields(4) == 2
@@ -105,6 +167,12 @@ def test_count_quadratic_fields_examples():
 def test_count_quadratic_fields_matches_naive():
     for X in (3, 4, 8, 21, 60, 163, 400):
         assert count_quadratic_fields(X) == naive_quadratic_fields(X), X
+
+
+@settings(max_examples=40, deadline=None)
+@given(X=st.fractions(min_value=0, max_value=300, max_denominator=6))
+def test_count_quadratic_fields_matches_naive_property(X):
+    assert count_quadratic_fields(X) == naive_quadratic_fields(int(X)), X
 
 
 def test_count_football222_examples():
@@ -162,6 +230,12 @@ def test_count_rooted3_examples():
 # at B = 257/100 the largest integer below B^3 is 16 = 1 * (1 + 1)^4
 @pytest.mark.parametrize("B", [2, 3, 5, 10, 17, F(49, 10), F(257, 100)])
 def test_count_rooted3_matches_naive(B):
+    assert count_rooted3_at_0(B) == naive_rooted3(B), B
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=st.fractions(min_value=0, max_value=16, max_denominator=12))
+def test_count_rooted3_matches_naive_property(B):
     assert count_rooted3_at_0(B) == naive_rooted3(B), B
 
 
