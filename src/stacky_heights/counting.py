@@ -14,16 +14,22 @@ one prime list, _primes_upto, by strided numpy walks over the multiples
 of each prime.  The heavy enumeration (pairs with three squarefree-part
 constraints) runs on segmented windows of those walks; the football222
 segment size follows SEGMENT_SIZE.
+
+Every count kernel takes one bound or a sequence of bounds.  A sequence is
+counted in one pass at its largest bound, with each table built once, and
+the counts come back in input order; one bound is the one-element case.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,6 +49,8 @@ __all__ = [
 ]
 
 Real = Union[int, float, Fraction]
+Bounds = Union[Real, Sequence[Real]]  # one bound, or a schedule of them
+Counts = Union[int, list[int]]  # an int for one bound, a list for a schedule
 
 SEGMENT_SIZE = 1 << 24  # football222 segment: values v = a + b per window
 _SIEVE_WINDOW = 1 << 18  # sieve_power_free_parts window; temporaries ~2 MB
@@ -59,6 +67,24 @@ def _run_parallel(fn, tasks: Sequence, threads: int) -> list:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
+
+
+def _schedule(B: Bounds, level: Callable, count_levels: Callable) -> Counts:
+    """One pass of a count kernel over every bound of a call.
+
+    level maps each bound (a Fraction) to the key its count depends on, or
+    to None where the count is 0, and raises ValueError outside the
+    kernel's domain; it sees every bound before any work starts.
+    count_levels gets the distinct keys in increasing order and returns
+    one count per key, from one pass at the largest.  The counts come back
+    in input order: an int for one bound, a list for a sequence.
+    """
+    single = isinstance(B, (str, numbers.Number))
+    keys = [level(Fraction(b)) for b in ([B] if single else B)]
+    levels = sorted({k for k in keys if k is not None})
+    found = dict(zip(levels, count_levels(levels))) if levels else {}
+    counts = [found.get(k, 0) for k in keys]
+    return counts[0] if single else counts
 
 
 def _strict_floor(x: Fraction) -> int:
@@ -226,47 +252,66 @@ def sieve_power_free_parts(
 # power classes and quadratic fields
 
 
-def _count_power_free_upto(X: int, m: int) -> int:
-    """Number of m-power-free integers in [1, X], by Moebius inversion."""
-    root = _iroot(X, m)
-    mu = _mobius_upto(root).tolist()
-    return sum(mu[d] * (X // d**m) for d in range(1, root + 1) if mu[d])
+_BMUN_MAX_ROOT = 1 << 25  # Moebius table entries; about 26 bytes each
 
 
-def count_bmun(n: int, B: Real) -> int:
+def count_bmun(n: int, B: Bounds) -> Counts:
     """Classes of Q*/(Q*)^n of height at most log B.
 
     These are the n-power-free representatives N with |N| <= B^n; both
-    signs occur for even n, positive representatives only for odd n.
+    signs occur for even n, positive representatives only for odd n.  They
+    are counted by Moebius inversion over d up to the n-th root of B^n,
+    which is floor(B).  floor(B) may be at most 2^25 (a table under 1 GB);
+    a larger bound raises ValueError before any table is built.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    B = Fraction(B)
-    if B < 1:
-        return 0
-    X = _floor(B**n)
-    c = _count_power_free_upto(X, n)
-    return 2 * c if n % 2 == 0 else c
+
+    def level(b: Fraction) -> Optional[int]:
+        if b < 1:
+            return None
+        # floor(b)^n <= floor(b^n) < (floor(b) + 1)^n: the root is floor(b)
+        if _floor(b) > _BMUN_MAX_ROOT:
+            raise ValueError(
+                f"count_bmun builds a Moebius table up to floor(B), capped at "
+                f"2^25 = {_BMUN_MAX_ROOT}; got B = {b}"
+            )
+        return _floor(b**n)
+
+    def count_levels(levels: list[int]) -> list[int]:
+        roots = [_iroot(X, n) for X in levels]
+        mu = _mobius_upto(roots[-1]).tolist()
+        counts = []
+        for X, root in zip(levels, roots):
+            c = sum(mu[d] * (X // d**n) for d in range(1, root + 1) if mu[d])
+            counts.append(2 * c if n % 2 == 0 else c)
+        return counts
+
+    return _schedule(B, level, count_levels)
 
 
-def count_quadratic_fields(X: Real) -> int:
+def count_quadratic_fields(X: Bounds) -> Counts:
     """Quadratic fields with |discriminant| <= X.
 
     Counts squarefree d not in {0, 1}, with |d| <= X when d = 1 mod 4 and
     4|d| <= X otherwise.
     """
-    X = _floor(Fraction(X))
-    if X < 3:
-        return 0
-    flags = _squarefree_flags(X)
-    small = flags[: X // 4 + 1]
-    # positive d: d = 1 mod 4 measured by |d|, the rest by 4|d|
-    total = int(flags[1::4].sum()) - 1  # exclude d = 1
-    total += int(small[2::4].sum()) + int(small[3::4].sum())
-    # negative d = -e: the discriminant is -e when e = 3 mod 4, else -4e
-    total += int(flags[3::4].sum())
-    total += int(small[1::4].sum()) + int(small[2::4].sum())
-    return total
+
+    def count_levels(levels: list[int]) -> list[int]:
+        table = _squarefree_flags(levels[-1])
+        counts = []
+        for top in levels:
+            flags, small = table[: top + 1], table[: top // 4 + 1]
+            # positive d: d = 1 mod 4 measured by |d|, the rest by 4|d|
+            total = int(flags[1::4].sum()) - 1  # exclude d = 1
+            total += int(small[2::4].sum()) + int(small[3::4].sum())
+            # negative d = -e: the discriminant is -e when e = 3 mod 4, else -4e
+            total += int(flags[3::4].sum())
+            total += int(small[1::4].sum()) + int(small[2::4].sum())
+            counts.append(total)
+        return counts
+
+    return _schedule(X, lambda x: _floor(x) if x >= 3 else None, count_levels)
 
 
 # ----------------------------------------------------------------------
@@ -277,35 +322,49 @@ def _distinct_primes(n: int) -> list[int]:
     return [p for p, _ in factor(n).factors] if n > 1 else []
 
 
-def _coprime_upto(bound: int, prime_list: Sequence[int]) -> int:
-    """#{1 <= k <= bound : k coprime to all listed primes}."""
-    return sum(
-        (-1) ** k * (bound // math.prod(c))
+def _coprime_upto(bounds: Sequence[int], prime_list: Sequence[int]) -> list[int]:
+    """#{1 <= k <= bound : k coprime to all listed primes}, for each bound."""
+    terms = [
+        ((-1) ** k, math.prod(c))
         for k in range(len(prime_list) + 1)
         for c in combinations(prime_list, k)
-    )
+    ]
+    return [sum(sign * (bound // d) for sign, d in terms) for bound in bounds]
 
 
-def count_rooted3_at_0(B: Real) -> int:
+def count_rooted3_at_0(B: Bounds) -> Counts:
     """Pairs of coprime a, b >= 1 with Phi_3(a) * max(a, b)^4 < B^3."""
-    B = Fraction(B)
-    if B <= 0:
-        return 0
-    T = _strict_floor(B**3)
-    if T < 1:
-        return 0
-    R = _iroot(T, 4)
-    phi3 = sieve_power_free_parts(R, 3)
-    total = 0
-    for a in range(1, R + 1):
-        f = int(phi3[a])
-        if f * a**4 > T:
-            continue  # then no b works: max(a, b) >= a
-        # every b <= cap coprime to a, where cap = max(a, largest b with
-        # f b^4 <= T); counts (1, 1) once via a = 1
-        cap = _iroot(T // f, 4) if f * (a + 1) ** 4 <= T else a
-        total += _coprime_upto(cap, _distinct_primes(a))
-    return total
+
+    def level(b: Fraction) -> Optional[int]:
+        T = _strict_floor(b**3) if b > 0 else 0
+        return T if T >= 1 else None
+
+    def count_levels(levels: list[int]) -> list[int]:
+        R = _iroot(levels[-1], 4)
+        phi3 = sieve_power_free_parts(R, 3)
+        # a level T admits a only if Phi_3(a) a^4 <= T (no b works otherwise:
+        # max(a, b) >= a); that product passes 2^63, so floats with a margin
+        # pick the candidates for the top level and Python integers decide
+        a4 = np.arange(1, R + 1, dtype=np.float64) ** 4
+        cand = np.flatnonzero(phi3[1:] * a4 <= levels[-1] * (1 + 1e-9)) + 1
+        totals = [0] * len(levels)
+        for a in cand.tolist():
+            f = int(phi3[a])
+            first = bisect_left(levels, f * a**4)
+            if first == len(levels):
+                continue
+            # at each level T every b <= cap coprime to a, where cap =
+            # max(a, largest b with f b^4 <= T); counts (1, 1) once via a = 1
+            f_next = f * (a + 1) ** 4
+            caps = [
+                math.isqrt(math.isqrt(T // f)) if f_next <= T else a
+                for T in levels[first:]
+            ]
+            for i, c in enumerate(_coprime_upto(caps, _distinct_primes(a)), first):
+                totals[i] += c
+        return totals
+
+    return _schedule(B, level, count_levels)
 
 
 # ----------------------------------------------------------------------
@@ -346,9 +405,16 @@ def _f222_rows(T: int):
     return s[pair] * x * x, t[pair], (s * t)[pair], ymax[pair]
 
 
-def _f222_segment_count(lo: int, hi: int, T: int, rows, primes) -> int:
-    """Candidates with v = a + b in [lo, hi) that pass the full test."""
+def _f222_segment_count(lo: int, hi: int, levels: np.ndarray, rows, primes) -> np.ndarray:
+    """Counted points with v = a + b in [lo, hi), by level.
+
+    levels is increasing and the rows are built for T = levels[-1]; entry
+    i counts the points whose key sqf(a) sqf(b) sqf(a+b) max(a, b) lies in
+    (levels[i - 1], levels[i]].
+    """
     rows_a, rows_t, rows_st, rows_ymax = rows
+    T = int(levels[-1])
+    hist = np.zeros(len(levels), dtype=np.int64)
     seg_sqf = _power_free_window(lo, hi, 2, primes)
 
     # y-window of each row whose v = a + t y^2 lands in [lo, hi)
@@ -361,10 +427,9 @@ def _f222_segment_count(lo: int, hi: int, T: int, rows, primes) -> int:
     counts = np.maximum(yhi - ylo + 1, 0)
     live = np.nonzero(counts)[0]
     if len(live) == 0:
-        return 0
+        return hist
 
     cum = np.cumsum(counts[live])
-    total = 0
     start = 0
     while start < len(live):
         base = int(cum[start - 1]) if start > 0 else 0
@@ -380,38 +445,50 @@ def _f222_segment_count(lo: int, hi: int, T: int, rows, primes) -> int:
         b *= rows_t[ridx]
         a = rows_a[ridx]
         u = seg_sqf[a + b - lo]
-        keep = rows_st[ridx] * np.maximum(a, b) <= T // u
-        total += int(np.count_nonzero(np.gcd(a[keep], b[keep]) == 1))
+        keep = np.flatnonzero(rows_st[ridx] * np.maximum(a, b) <= T // u)
+        a, b, u = a[keep], b[keep], u[keep]
+        coprime = np.gcd(a, b) == 1
+        # the key st max(a, b) u of a kept row is at most T: no overflow
+        key = rows_st[ridx[keep]] * np.maximum(a, b) * u
+        hist += np.bincount(np.searchsorted(levels, key[coprime]), minlength=len(levels))
         start = end
-    return total
+    return hist
 
 
-def count_football222(B: Real, threads: int = 1) -> int:
+def count_football222(B: Bounds, threads: int = 1) -> Counts:
     """Coprime pairs a, b >= 1 with sqf(a) sqf(b) sqf(a+b) max(a,b) < B^2.
 
     Exact while 2T < 2^52, where T is the largest integer below B^2: that
     is B^2 <= 2^51, or B up to about 4.7e7.  Larger bounds raise
-    ValueError rather than risk an inexact count.
+    ValueError rather than risk an inexact count.  A schedule costs one
+    pass at its largest bound: each segment sorts its points into the
+    levels by their keys, so memory stays that of one segment.
     """
-    B = Fraction(B)
-    if B <= 0:
-        return 0
-    T = _strict_floor(B * B)
-    if T < 2:
-        return 0
-    if 2 * T >= _F222_EXACT_LIMIT:
-        raise ValueError(
-            "count_football222 is exact only for B^2 <= 2^51 (B up to about "
-            f"4.7e7); got B = {B}"
-        )
-    seg_size = min(SEGMENT_SIZE, 2 * T)
-    rows = _f222_rows(T)
-    primes = _primes_upto(math.isqrt(2 * T))
 
-    def segment(lo: int) -> int:
-        return _f222_segment_count(lo, min(lo + seg_size, 2 * T + 1), T, rows, primes)
+    def level(b: Fraction) -> Optional[int]:
+        T = _strict_floor(b * b) if b > 0 else 0
+        if 2 * T >= _F222_EXACT_LIMIT:
+            raise ValueError(
+                "count_football222 is exact only for B^2 <= 2^51 (B up to "
+                f"about 4.7e7); got B = {b}"
+            )
+        return T if T >= 2 else None
 
-    return sum(_run_parallel(segment, range(2, 2 * T + 1, seg_size), threads))
+    def count_levels(levels: list[int]) -> list[int]:
+        T = levels[-1]
+        seg_size = min(SEGMENT_SIZE, 2 * T)
+        rows = _f222_rows(T)
+        primes = _primes_upto(math.isqrt(2 * T))
+        levels_arr = np.array(levels, dtype=np.int64)
+
+        def segment(lo: int) -> np.ndarray:
+            hi = min(lo + seg_size, 2 * T + 1)
+            return _f222_segment_count(lo, hi, levels_arr, rows, primes)
+
+        parts = _run_parallel(segment, range(2, 2 * T + 1, seg_size), threads)
+        return np.cumsum(sum(parts)).tolist()
+
+    return _schedule(B, level, count_levels)
 
 
 # ----------------------------------------------------------------------
@@ -453,8 +530,9 @@ def _count_all_forms(p: int, q: int) -> int:
     return 2 * total + top * len(c)
 
 
-def _count_reducible(T2: int) -> int:
-    """Primitive reducible forms with a >= 1 and Mahler measure <= T2 >= 1.
+def _count_reducible(T2s: Sequence[int]) -> list[int]:
+    """Primitive reducible forms with a >= 1 and Mahler measure <= T2, for
+    each T2 >= 1 of an increasing list.
 
     By Gauss's lemma these are the unordered pairs of primitive linear
     forms p x + q with p >= 1, and M(f g) = max(p, |q|) max(r, |s|).  There
@@ -462,14 +540,16 @@ def _count_reducible(T2: int) -> int:
     h >= 2, so the count is (sum_{h1 h2 <= T2} L(h1) L(h2) + sum_{h^2 <= T2}
     L(h)) / 2, summed in Python integers.
     """
-    L = (4 * _totient_upto(T2)).tolist()
+    L = (4 * _totient_upto(T2s[-1])).tolist()
     L[0], L[1] = 0, 3
     S = list(accumulate(L))  # S[n] = L(1) + ... + L(n)
-    ordered = sum(L[h] * S[T2 // h] for h in range(1, T2 + 1))
-    return (ordered + S[math.isqrt(T2)]) // 2
+    return [
+        (sum(L[h] * S[T2 // h] for h in range(1, T2 + 1)) + S[math.isqrt(T2)]) // 2
+        for T2 in T2s
+    ]
 
 
-def count_quadratic_points(B: Real) -> int:
+def count_quadratic_points(B: Bounds) -> Counts:
     """Degree-2 points of the line with multiplicative height below B.
 
     Equals twice the number of primitive irreducible integer quadratics
@@ -482,28 +562,34 @@ def count_quadratic_points(B: Real) -> int:
     X = num/den must have den <= 1000, and the count is exact in int64 for
     num < 2^31 (B up to about 46 340); larger bounds raise ValueError.
     """
-    B = Fraction(B)
-    if B <= 0:
-        return 0
-    X = B * B  # Mahler measure bound
-    if X.denominator > 1000:
-        raise ValueError("the bound B^2 must have denominator at most 1000")
-    num, den = X.numerator, X.denominator
-    if num >= _QP_NUMERATOR_LIMIT:
-        raise ValueError(
-            "count_quadratic_points is exact only while the numerator of B^2 "
-            f"is below 2^31; got B^2 = {X}"
-        )
-    T2 = _strict_floor(X)  # M < X/d needs d <= T2
-    if T2 < 1:
-        return 0
-    mu = _mobius_upto(T2)
-    primitive = sum(
-        int(mu[d]) * _count_all_forms(num, den * d)
-        for d in range(1, T2 + 1)
-        if mu[d]
-    )
-    return 2 * (primitive - _count_reducible(T2))
+
+    def level(b: Fraction) -> Optional[Fraction]:
+        if b <= 0:
+            return None
+        X = b * b  # Mahler measure bound
+        if X.denominator > 1000:
+            raise ValueError("the bound B^2 must have denominator at most 1000")
+        if X.numerator >= _QP_NUMERATOR_LIMIT:
+            raise ValueError(
+                "count_quadratic_points is exact only while the numerator of "
+                f"B^2 is below 2^31; got B^2 = {X}"
+            )
+        return X if X > 1 else None  # else no d fits below
+
+    def count_levels(levels: list[Fraction]) -> list[int]:
+        T2s = [_strict_floor(X) for X in levels]  # M < X/d needs d <= T2
+        mu = _mobius_upto(T2s[-1])
+        counts = []
+        for X, T2, reducible in zip(levels, T2s, _count_reducible(T2s)):
+            primitive = sum(
+                int(mu[d]) * _count_all_forms(X.numerator, X.denominator * d)
+                for d in range(1, T2 + 1)
+                if mu[d]
+            )
+            counts.append(2 * (primitive - reducible))
+        return counts
+
+    return _schedule(B, level, count_levels)
 
 
 # ----------------------------------------------------------------------

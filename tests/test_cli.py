@@ -2,6 +2,7 @@ import configparser
 import json
 import math
 import os
+from fractions import Fraction as F
 
 import pytest
 
@@ -185,6 +186,71 @@ def test_count_checkpoint_resume(tmp_path, capsys):
     # without --resume the checkpoint is ignored and rebuilt
     code, out3, _ = run(capsys, *args)
     assert json.loads(out3) == json.loads(out1)
+
+
+def test_count_resume_computes_missing_bounds_in_one_call(tmp_path, capsys, monkeypatch):
+    from stacky_heights import cli
+
+    args = [
+        "count", "--family", "football222", "--b0", "3", "--ratio", "3/2",
+        "--steps", "6", "--out", str(tmp_path / "fresh"),
+    ]
+    code, fresh, err = run(capsys, *args)
+    assert code == 0, err
+    assert "6 bounds in one pass" in err
+    ckpt = next(p for p in (tmp_path / "fresh").iterdir() if p.name.endswith("checkpoint.json"))
+    data = json.loads(ckpt.read_text())
+    keys = list(data["samples"])
+    assert keys == ["3", "9/2", "27/4", "81/8", "243/16", "729/32"]
+
+    # a checkpoint holding only some of the bounds, under the resumed run's id
+    out = tmp_path / "resumed"
+    out.mkdir()
+    kept = {k: data["samples"][k] for k in ("9/2", "81/8")}
+    (out / ckpt.name).write_text(json.dumps({"schema": data["schema"], "samples": kept}))
+    calls = []
+    counter = cli.FAMILIES["football222"]
+
+    def recording(cfg, Bs):
+        calls.append(list(Bs))
+        return counter(cfg, Bs)
+
+    saves = []
+    save = cli._save_checkpoint
+
+    def recording_save(path, samples):
+        saves.append(dict(samples))
+        save(path, samples)
+
+    monkeypatch.setitem(cli.FAMILIES, "football222", recording)
+    monkeypatch.setattr(cli, "_save_checkpoint", recording_save)
+    args[-1] = str(out)
+    code, resumed, err = run(capsys, *args, "--resume")
+    assert code == 0, err
+    assert json.loads(resumed) == json.loads(fresh)
+    missing = [F(3), F(27, 4), F(243, 16), F(729, 32)]
+    assert calls == [missing]
+    assert [line.split(":")[0] for line in err.splitlines()[:4]] == [
+        f"B={float(B):g}" for B in missing
+    ]
+    # the checkpoint is written once, with every bound
+    assert saves == [data["samples"]]
+    assert json.loads((out / ckpt.name).read_text())["samples"] == data["samples"]
+
+
+def test_count_bmun_cap_exits_3(tmp_path, capsys, monkeypatch):
+    from stacky_heights import counting
+
+    def no_table(limit):
+        raise AssertionError("the Moebius table was built")
+
+    monkeypatch.setattr(counting, "_mobius_upto", no_table)
+    code, out, err = run(
+        capsys, "count", "--family", "bmun", "--n", "2", "--b0", "1000000000",
+        "--steps", "1", "--out", str(tmp_path),
+    )
+    assert code == 3 and out == ""
+    assert "count_bmun" in err and "2^25" in err
 
 
 def test_count_config_without_run_section(tmp_path, capsys):

@@ -297,7 +297,7 @@ def test_count_reducible_matches_bruteforce():
             and math.gcd(math.gcd(a, b), c) == 1
             and mahler_measure_lt(a, b, c, X)
         )
-        assert _count_reducible(math.ceil(X) - 1) == brute, X  # M <= T2 iff M < X
+        assert _count_reducible([math.ceil(X) - 1]) == [brute], X  # M <= T2 iff M < X
 
 
 def test_count_quadratic_points_domain_limit():
@@ -324,6 +324,123 @@ def test_count_quadratic_points_domain_limit():
 def test_count_quadratic_points_monotone():
     counts = [count_quadratic_points(B) for B in (2, 3, 4, 5)]
     assert counts == sorted(counts)
+
+
+# ----------------------------------------------------------------------
+# schedules: a sequence of bounds is counted in one pass at its largest
+
+
+@st.composite
+def schedules(draw, max_value, max_denominator=12):
+    """Unsorted bound lists with a repeated bound and one (1/2) below the
+    first point of every family."""
+    bound = st.fractions(min_value=0, max_value=max_value, max_denominator=max_denominator)
+    bs = draw(st.lists(bound, min_size=1, max_size=6))
+    return draw(st.permutations(bs + [bs[0], F(1, 2)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 4), Bs=schedules(1000))
+def test_count_bmun_schedule_property(n, Bs):
+    assert count_bmun(n, Bs) == [count_bmun(n, B) for B in Bs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(Bs=schedules(5000))
+def test_count_quadratic_fields_schedule_property(Bs):
+    assert count_quadratic_fields(Bs) == [count_quadratic_fields(X) for X in Bs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(Bs=schedules(40))
+def test_count_football222_schedule_property(Bs):
+    assert count_football222(Bs) == [count_football222(B) for B in Bs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(Bs=schedules(200))
+def test_count_rooted3_schedule_property(Bs):
+    assert count_rooted3_at_0(Bs) == [count_rooted3_at_0(B) for B in Bs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(Bs=schedules(6))
+def test_count_quadratic_points_schedule_property(Bs):
+    assert count_quadratic_points(Bs) == [count_quadratic_points(B) for B in Bs]
+
+
+def test_schedule_return_types():
+    kernels = [
+        lambda B: count_bmun(2, B),
+        count_quadratic_fields,
+        count_football222,
+        count_rooted3_at_0,
+        count_quadratic_points,
+    ]
+    for kernel in kernels:
+        assert type(kernel(5)) is int
+        assert kernel([]) == []
+        assert kernel((5, 0)) == [kernel(5), 0]
+
+
+def test_count_football222_schedule_threads_and_segments(monkeypatch):
+    from stacky_heights import counting
+
+    Bs = [40, 3, 25, 40, 12]
+    want = [count_football222(B) for B in Bs]
+    monkeypatch.setattr(counting, "SEGMENT_SIZE", 64)  # many segments
+    assert count_football222(Bs, threads=2) == want
+
+
+def test_count_rooted3_pinned_beyond_int64():
+    # B^3 >= 2^63, so neither T nor Phi_3(a) a^4 fits in int64; the counts
+    # were computed with the per-bound kernel, which works in Python integers
+    pinned = {2_097_153: 11_697_650, 3_000_000: 17_252_440}
+    assert all(F(B) ** 3 >= 2**63 for B in pinned)
+    assert count_rooted3_at_0(list(pinned)) == list(pinned.values())
+    assert count_rooted3_at_0([3_000_000, 40, 2_097_153]) == [
+        17_252_440,
+        count_rooted3_at_0(40),
+        11_697_650,
+    ]
+
+
+def test_schedule_domain_errors_come_before_any_work(monkeypatch):
+    from stacky_heights import counting
+
+    def no_work(*args):
+        raise AssertionError("a table was built before the domain check")
+
+    monkeypatch.setattr(counting, "_f222_rows", no_work)
+    monkeypatch.setattr(counting, "_mobius_upto", no_work)
+    with pytest.raises(ValueError, match="count_football222"):
+        count_football222([2, 47453133, 5])
+    with pytest.raises(ValueError, match="count_quadratic_points"):
+        count_quadratic_points([2, 46341, 3])
+    with pytest.raises(ValueError, match="denominator"):
+        count_quadratic_points([2, F(1, 1001)])
+
+
+def test_count_bmun_size_cap(monkeypatch):
+    # floor(B) is the n-th root of B^n, and the Moebius table runs up to it;
+    # a stand-in table builder records its limit instead of allocating
+    from stacky_heights import counting
+
+    limits = []
+
+    def record(limit):
+        limits.append(limit)
+        raise LookupError("stand-in table")
+
+    monkeypatch.setattr(counting, "_mobius_upto", record)
+    for n, B in ((2, 10**9), (3, 2**25 + 1), (2, [10, 2**25 + 1])):
+        with pytest.raises(ValueError, match=r"count_bmun .*2\^25"):
+            count_bmun(n, B)
+    assert limits == []
+    for n, B in ((2, 2**25), (5, F(2**27 + 1, 4)), (2, [2**25 + F(1, 2), 7])):
+        with pytest.raises(LookupError):
+            count_bmun(n, B)
+    assert limits == [2**25] * 3
 
 
 def test_vojta_444_examples():
