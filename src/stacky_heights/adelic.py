@@ -59,13 +59,9 @@ class ExactHeight:
         if x == 0:
             raise ValueError("log_abs of 0")
         scale = Fraction(scale)
-        terms: dict[int, Fraction] = {}
-        if scale != 0:
-            for p, e in factor(x.numerator).factors:
-                terms[p] = terms.get(p, Fraction(0)) + scale * e
-            for p, e in factor(x.denominator).factors:
-                terms[p] = terms.get(p, Fraction(0)) - scale * e
-        return ExactHeight(terms)
+        if scale == 0:
+            return ExactHeight()
+        return ExactHeight({p: scale * e for p, e in _ord_map(x).items()})
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -172,11 +168,11 @@ def combine(
 
 
 def _ord_map(x: Fraction) -> dict[int, int]:
-    ords: dict[int, int] = {}
-    for p, e in factor(x.numerator).factors:
-        ords[p] = e
-    for p, e in factor(x.denominator).factors:
-        ords[p] = ords.get(p, 0) - e
+    """p -> ord_p(x) for a nonzero rational; an integer x is factored once."""
+    ords = dict(factor(x.numerator).factors)
+    if x.denominator != 1:
+        for p, e in factor(x.denominator).factors:
+            ords[p] = ords.get(p, 0) - e
     return ords
 
 

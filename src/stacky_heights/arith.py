@@ -21,9 +21,11 @@ __all__ = [
     "factor",
     "is_prime",
     "ord_p",
+    "power_free_exponents",
     "power_free_part",
     "power_free_reduce",
     "squarefree_part",
+    "quadratic_field_discriminant",
     "fundamental_discriminant",
     "mahler_measure_quadratic",
     "mahler_measure_lt",
@@ -165,12 +167,6 @@ class FactoredInt:
     def __int__(self) -> int:
         return self.value()
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
 
 def factor(n: int) -> FactoredInt:
     """Factor a nonzero integer; deterministic."""
@@ -193,6 +189,16 @@ def ord_p(n: int, p: int) -> int:
     return v
 
 
+def power_free_exponents(n: int, m: int) -> list[tuple[int, int]]:
+    """The pairs (p, r) with r = (-ord_p n) mod m > 0, from one factorization
+    of n: |n| * prod(p^r) is the least m-th power that |n| divides; m >= 2."""
+    if n == 0:
+        raise ValueError("power_free_part of 0 is undefined")
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    return [(p, -e % m) for p, e in factor(n).factors if e % m]
+
+
 def power_free_part(n: int, m: int) -> int:
     """Smallest positive k such that |n| * k is a perfect m-th power.
 
@@ -200,16 +206,7 @@ def power_free_part(n: int, m: int) -> int:
     on |n| only, so this can be applied to (possibly negative) values of
     linear forms.
     """
-    if n == 0:
-        raise ValueError("power_free_part of 0 is undefined")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    out = 1
-    for p, e in factor(abs(n)).factors:
-        r = (-e) % m
-        if r:
-            out *= p**r
-    return out
+    return math.prod(p**r for p, r in power_free_exponents(n, m))
 
 
 def power_free_reduce(n: int, m: int) -> tuple[int, int]:
@@ -218,10 +215,7 @@ def power_free_reduce(n: int, m: int) -> tuple[int, int]:
         raise ValueError("power_free_reduce of 0 is undefined")
     if m < 2:
         raise ValueError("m must be >= 2")
-    k = 1
-    for p, e in factor(abs(n)).factors:
-        if e >= m:
-            k *= p ** (e // m)
+    k = math.prod(p ** (e // m) for p, e in factor(n).factors)
     return n // k**m, k
 
 
@@ -230,16 +224,27 @@ def squarefree_part(n: int) -> int:
     return power_free_part(n, 2)
 
 
+def quadratic_field_discriminant(n: int) -> int:
+    """Discriminant of Q(sqrt(n)), n not a square, from one factorization of
+    n: d when d = 1 mod 4, else 4d, with d the squarefree part of n signed
+    like n."""
+    d = squarefree_part(n) * (1 if n > 0 else -1)
+    if d == 1:
+        raise ValueError(f"{n} is a square")
+    return d if d % 4 == 1 else 4 * d
+
+
 def fundamental_discriminant(d: int) -> int:
     """Discriminant of the quadratic field attached to a squarefree d != 0, 1.
 
-    Returns d when d = 1 mod 4, else 4d.
+    Checks d, for values from outside the program; returns d when d = 1 mod
+    4, else 4d.
     """
     if d in (0, 1):
         raise ValueError("d must not be 0 or 1")
     if any(e > 1 for _, e in factor(d).factors):
         raise ValueError(f"{d} is not squarefree")
-    return d if d % 4 == 1 else 4 * d
+    return quadratic_field_discriminant(d)
 
 
 def _mahler_squared(a: int, b: int, c: int) -> tuple[int, int, int]:

@@ -93,8 +93,8 @@ def bmu3_vector_height(c: PowerClass) -> ExactHeight:
 
 def quadratic_height(d: int) -> ExactHeight:
     """(1/2) log |disc| of the quadratic field Q(sqrt(d)), d squarefree."""
-    disc = fundamental_discriminant(d)
-    return ExactHeight.log_abs(disc, Fraction(1, 2))
+    disc = fundamental_discriminant(d)  # d or 4d: factor d once, not 4d again
+    return (ExactHeight.log_abs(d) + ExactHeight.log_abs(disc // d)) * Fraction(1, 2)
 
 
 Perm = tuple[int, ...]
@@ -127,6 +127,27 @@ def _compose(a: Perm, b: Perm) -> Perm:
     return tuple(a[b[i]] for i in range(len(a)))
 
 
+def _closure(degree: int, gens: Sequence[Perm], within: set[Perm] | None = None) -> set[Perm]:
+    """The group generated by gens, in |G| * len(gens) compositions: the
+    closure of {identity} under right multiplication by the generators
+    (every inverse is a positive power).  Raises ValueError on a product
+    outside `within`, or, without `within`, past PermGroup.MAX_ORDER."""
+    queue = [tuple(range(degree))]
+    elems = set(queue)
+    for x in queue:  # the queue grows while it is walked
+        for g in gens:
+            y = _compose(x, g)
+            if y in elems:
+                continue
+            if within is None and len(elems) == PermGroup.MAX_ORDER:
+                raise ValueError("group order exceeds cap")
+            if within is not None and y not in within:
+                raise ValueError("element set is not closed under composition")
+            elems.add(y)
+            queue.append(y)
+    return elems
+
+
 class PermGroup:
     """A permutation group on {0..degree-1}, closed and containing identity."""
 
@@ -135,35 +156,27 @@ class PermGroup:
     def __init__(self, degree: int, elements: Iterable[Sequence[int]]):
         self.degree = int(degree)
         elems = {_validate_perm(pi) for pi in elements}
-        for pi in elems:
-            if len(pi) != self.degree:
-                raise ValueError("element degree mismatch")
-        ident = tuple(range(self.degree))
-        if ident not in elems:
+        if any(len(pi) != self.degree for pi in elems):
+            raise ValueError("element degree mismatch")
+        if tuple(range(self.degree)) not in elems:
             raise ValueError("group must contain the identity")
-        for a, b in itertools.product(elems, repeat=2):
-            if _compose(a, b) not in elems:
-                raise ValueError("element set is not closed under composition")
         self.elements = sorted(elems)
+        # Closed iff generated by a subset that spans it; greedily, each new
+        # generator at least doubles the span, so there are <= log2 |G|.
+        gens: list[Perm] = []
+        span = {self.elements[0]}  # the identity
+        for pi in self.elements:
+            if pi not in span:
+                gens.append(pi)
+                span = _closure(self.degree, gens, within=elems)
 
     @classmethod
     def from_generators(cls, degree: int, gens: Iterable[Sequence[int]]) -> "PermGroup":
         """Close a generator list under composition (order capped at 10^4)."""
-        ident = tuple(range(degree))
-        frontier = [ident] + [_validate_perm(g) for g in gens]
-        elems = set(frontier)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in list(elems):
-                    for prod in (_compose(a, g), _compose(g, a)):
-                        if prod not in elems:
-                            elems.add(prod)
-                            nxt.append(prod)
-                            if len(elems) > cls.MAX_ORDER:
-                                raise ValueError("group order exceeds cap")
-            frontier = nxt
-        return cls(degree, elems)
+        gens = [_validate_perm(g) for g in gens]
+        if any(len(g) != degree for g in gens):
+            raise ValueError("element degree mismatch")
+        return cls(degree, _closure(degree, gens))
 
     @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":

@@ -23,6 +23,7 @@ import configparser
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -30,7 +31,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import checks
-from .adelic import ExactHeight
 from .classifying import PermGroup, class_of, bmun_height, malle_exponent, quadratic_height
 from .counting import (
     CountReport,
@@ -63,6 +63,13 @@ def _ints(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError as e:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from e
+
+
+def _int(text, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as e:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from e
 
 
 def _rational(text: str) -> Fraction:
@@ -117,7 +124,7 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return tuple(perm)
-    if text.count("(") != text.count(")") or not text.startswith("("):
+    if not re.fullmatch(r"(\([\d\s,]*\))+", text):
         raise UsageError(f"bad cycle notation {text!r}")
     for cyc in text[1:-1].split(")("):
         members = [int(x) - 1 for x in cyc.replace(",", " ").split()]
@@ -289,7 +296,7 @@ class RunConfig:
 # family -> counter(cfg, bounds): the counts of a list of bounds, in order,
 # from one kernel call
 FAMILIES = {
-    "bmun": lambda cfg, Bs: count_bmun(int(cfg.params.get("n", 2)), Bs),
+    "bmun": lambda cfg, Bs: count_bmun(_int(cfg.params.get("n", 2), "n"), Bs),
     "quadratic-fields": lambda cfg, Bs: count_quadratic_fields(Bs),
     "football222": lambda cfg, Bs: count_football222(Bs, threads=cfg.threads),
     "rooted3": lambda cfg, Bs: count_rooted3_at_0(Bs),
@@ -302,10 +309,7 @@ def _thread_count(flag, configured=None) -> int:
     if flag is not None:
         threads = flag
     elif os.environ.get("STACKY_THREADS"):
-        try:
-            threads = int(os.environ["STACKY_THREADS"])
-        except ValueError as e:
-            raise UsageError("STACKY_THREADS must be an integer") from e
+        threads = _int(os.environ["STACKY_THREADS"], "STACKY_THREADS")
     else:
         threads = configured if configured is not None else 1
     if threads < 1:
@@ -329,13 +333,13 @@ def load_config(args) -> RunConfig:
             run = cp["run"]
             family = family or run.get("family")
             fmt = fmt or run.get("format")
-            conf_threads = run.getint("threads", fallback=None)
+            conf_threads = _int(run["threads"], "threads") if "threads" in run else None
             out = out or run.get("out")
         if "schedule" in cp:
             sched = cp["schedule"]
             b0 = b0 or sched.get("b0")
             ratio = ratio or sched.get("ratio")
-            steps = steps if steps is not None else sched.getint("steps", fallback=None)
+            steps = steps if steps is not None else sched.get("steps")
         if "params" in cp:
             params.update(cp["params"])
     if args.n is not None:
@@ -349,7 +353,7 @@ def load_config(args) -> RunConfig:
         params=params,
         b0=_rational(str(b0 if b0 is not None else 10)),
         ratio=_rational(str(ratio if ratio is not None else 2)),
-        steps=int(steps) if steps is not None else 4,
+        steps=_int(steps, "steps") if steps is not None else 4,
         format=fmt or "csv",
         threads=_thread_count(args.threads, conf_threads),
         out=Path(out) if out else Path("."),

@@ -24,12 +24,13 @@ identity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .adelic import ExactHeight, HeightBreakdown, combine
-from .arith import factor, power_free_part
+from .arith import factor, power_free_exponents
 from .classifying import PowerClass, bmun_height
 
 __all__ = [
@@ -103,12 +104,20 @@ class StackDivisor:
         return StackDivisor(-self.generic, tuple(-n for n in self.stacky))
 
 
-def _normalize_point(point: Sequence[int]) -> tuple[int, int]:
+def _generic_point(line: RootedLine, point: Sequence[int]) -> tuple[tuple[int, int], list[int]]:
+    """The point as a coprime pair (a, b), and the root values there;
+    StackyPointError at a root (such points are classes: type1_height)."""
     a, b = int(point[0]), int(point[1])
     if a == 0 and b == 0:
         raise ValueError("(0, 0) is not a point of P^1")
     g = math.gcd(a, b)
-    return a // g, b // g
+    a, b = a // g, b // g
+    values = line.values_at((a, b))
+    if 0 in values:
+        raise StackyPointError(
+            f"point ({a}:{b}) is supported at root {values.index(0)}; use type1_height"
+        )
+    return (a, b), values
 
 
 def _fracplus(q: Fraction) -> Fraction:
@@ -119,13 +128,7 @@ def generic_height(
     line: RootedLine, divisor: StackDivisor, point: Sequence[int]
 ) -> HeightBreakdown:
     """Height breakdown at a generic point (a : b) avoiding all roots."""
-    a, b = _normalize_point(point)
-    values = line.values_at((a, b))
-    if any(v == 0 for v in values):
-        i = values.index(0)
-        raise StackyPointError(
-            f"point ({a}:{b}) is supported at root {i}; use type1_height"
-        )
+    (a, b), values = _generic_point(line, point)
     deg = divisor.degree(line)
     stable = ExactHeight.log_abs(max(abs(a), abs(b)), deg)
 
@@ -191,17 +194,16 @@ def tangential_height(line: RootedLine, point: Sequence[int]) -> ExactHeight:
     sum_i (1/m_i) log PFP_{m_i}(L_i(a, b)) + deg(T) * log max(|a|, |b|),
 
     with PFP_m the m-power-free complement.  Exactly equal to
-    generic_height(line, tangent_divisor(line), point).total.
+    generic_height(line, tangent_divisor(line), point).total.  PFP_m(v) is
+    read off the factorization of v as exponents, never built and refactored.
     """
-    a, b = _normalize_point(point)
-    values = line.values_at((a, b))
-    if any(v == 0 for v in values):
-        raise StackyPointError("tangential height needs a non-stacky point")
-    deg = tangent_divisor(line).degree(line)
-    out = ExactHeight.log_abs(max(abs(a), abs(b)), deg)
+    (a, b), values = _generic_point(line, point)
+    terms: dict[int, Fraction] = {}
     for v, m in zip(values, line.orders):
-        out = out + ExactHeight.log_abs(power_free_part(v, m), Fraction(1, m))
-    return out
+        for p, r in power_free_exponents(v, m):
+            terms[p] = terms.get(p, Fraction(0)) + Fraction(r, m)
+    deg = tangent_divisor(line).degree(line)
+    return ExactHeight.log_abs(max(abs(a), abs(b)), deg) + ExactHeight(terms)
 
 
 def rdisc(line: RootedLine, point: Sequence[int]) -> ExactHeight:
@@ -211,16 +213,10 @@ def rdisc(line: RootedLine, point: Sequence[int]) -> ExactHeight:
     not divisible by the root order; each such prime is counted once even
     if several roots are stacky over it.
     """
-    a, b = _normalize_point(point)
-    values = line.values_at((a, b))
-    if any(v == 0 for v in values):
-        raise StackyPointError("reduced discriminant needs a non-stacky point")
-    primes: set[int] = set()
-    for v, m in zip(values, line.orders):
-        for p, k in factor(abs(v)).factors:
-            if k % m != 0:
-                primes.add(p)
-    return ExactHeight({p: Fraction(1) for p in primes})
+    _, values = _generic_point(line, point)
+    return ExactHeight(
+        {p: 1 for v, m in zip(values, line.orders) for p, k in factor(v).factors if k % m}
+    )
 
 
 def edd(line: RootedLine, point: Sequence[int]) -> ExactHeight:
@@ -234,17 +230,9 @@ def colliding_primes(line: RootedLine, point: Sequence[int]) -> set[int]:
     """Primes dividing two distinct root values at the point.
 
     On inputs where this is nonempty, edd and tangential_height may differ
-    (the reduced discriminant counts each prime once).
+    (the reduced discriminant counts each prime once).  Raises
+    StackyPointError at a root, as the heights do.
     """
-    a, b = _normalize_point(point)
-    seen: dict[int, int] = {}
-    out: set[int] = set()
-    for idx, v in enumerate(line.values_at((a, b))):
-        if v == 0:
-            continue
-        for p, _ in factor(abs(v)).factors:
-            if p in seen and seen[p] != idx:
-                out.add(p)
-            else:
-                seen[p] = idx
-    return out
+    _, values = _generic_point(line, point)
+    seen = Counter(p for v in values for p, _ in factor(v).factors)
+    return {p for p, k in seen.items() if k > 1}

@@ -15,13 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .arith import (
-    fundamental_discriminant,
-    mahler_measure_quadratic,
-    squarefree_part,
-)
+from .arith import mahler_measure_quadratic, quadratic_field_discriminant
 
 __all__ = [
     "QuadraticPoint",
@@ -88,9 +84,7 @@ class QuadraticPoint:
         if self.is_split:
             return 1
         a, b, c = self.form
-        disc = b * b - 4 * a * c
-        d = squarefree_part(disc) * (1 if disc > 0 else -1)
-        return fundamental_discriminant(d)
+        return quadratic_field_discriminant(b * b - 4 * a * c)
 
 
 def _weil_height(pt: tuple[int, int]) -> float:

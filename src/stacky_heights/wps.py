@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .adelic import ExactHeight, height_from_sections
 from .arith import factor, ord_p

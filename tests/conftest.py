@@ -2,6 +2,8 @@
 and this hook prints the full table in the terminal summary, so the
 pass/fail status of every criterion is visible even without -s."""
 
+import pytest
+
 _criterion_lines: list[str] = []
 
 
@@ -14,3 +16,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(set(_criterion_lines)):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The |n| of every factor(n) call made from here on, cache hits
+    included; the factorization cache starts empty."""
+    import stacky_heights.arith as arith
+
+    arith._factor_abs.cache_clear()
+    real = arith._factor_abs
+    calls: list[int] = []
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "_factor_abs", spy)
+    return calls

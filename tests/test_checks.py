@@ -13,20 +13,23 @@ def test_all_suites_pass_and_seed_independent():
 
 
 def test_corrupted_power_free_part_fails_edd_suite(monkeypatch):
-    # the tangential route consumes power_free_part; poisoning it must be
-    # caught by the edd identity, which goes through valuations instead
+    # the tangential route reads power-free exponents; poisoning them must
+    # be caught by the edd identity, which goes through valuations instead
     import sys
 
     import stacky_heights.football  # noqa: F401 - the submodule, not the helper
 
     fb = sys.modules["stacky_heights.football"]
-    real = fb.power_free_part
+    real = fb.power_free_exponents
 
     def poisoned(n, m):
-        v = real(n, m)
-        return v * 4 if abs(n) % 97 == 5 else v
+        # the power-free part times 4 when |n| % 97 == 5
+        exps = dict(real(n, m))
+        if abs(n) % 97 == 5:
+            exps[2] = exps.get(2, 0) + 2
+        return sorted(exps.items())
 
-    monkeypatch.setattr(fb, "power_free_part", poisoned)
+    monkeypatch.setattr(fb, "power_free_exponents", poisoned)
     res = checks.check_edd_tangential(random.Random(1), samples=400, coord_bound=10**4)
     assert not res.ok
 

@@ -88,6 +88,14 @@ def test_quadratic_height_examples():
         quadratic_height(4)
 
 
+def test_quadratic_height_factors_d_not_4d(factor_calls):
+    d = 2 * 1_000_003 * 1_000_033  # 2 mod 4: the discriminant is 4d
+    assert quadratic_height(d) == ExactHeight(
+        {2: F(3, 2), 1_000_003: F(1, 2), 1_000_033: F(1, 2)}
+    )
+    assert 4 * d not in factor_calls and set(factor_calls) <= {d, 4, 1}
+
+
 def test_quadratic_height_matches_square_class_away_from_2():
     # the quadratic permutation height and the square-class height agree at
     # every odd prime; they may differ at 2 by the discriminant convention
@@ -117,6 +125,35 @@ def test_perm_group_construction():
     G = PermGroup.from_generators(3, [(1, 2, 0)])
     assert len(G) == 3
     assert len(PermGroup.symmetric(4)) == 24
+
+
+def test_perm_group_costs_linear_compositions(monkeypatch):
+    # S6 from two generators, and from its 720 elements: a few compositions
+    # per element and generator, not |G|^2 = 518 400
+    import stacky_heights.classifying as cl
+
+    real = cl._compose
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        assert calls[0] <= 10 * 720, "quadratic number of compositions"
+        return real(a, b)
+
+    monkeypatch.setattr(cl, "_compose", counted)
+    for build in (
+        lambda: PermGroup.from_generators(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]),
+        lambda: PermGroup.symmetric(6),
+    ):
+        calls[0] = 0
+        assert len(build()) == 720
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        PermGroup(3, [(0, 1, 2), (1, 2, 0), (1, 0, 2)])  # not closed
+    with pytest.raises(ValueError):
+        PermGroup.from_generators(3, [(1, 0)])  # degree mismatch
+    with pytest.raises(ValueError, match="cap"):  # |S8| = 40320
+        PermGroup.from_generators(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])
 
 
 def test_malle_exponent_examples():

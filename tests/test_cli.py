@@ -106,6 +106,11 @@ def test_malle(capsys):
     assert obj["order"] == 24 and obj["exponent"] == [1, 1]
 
 
+def test_malle_space_between_cycles_is_usage_error(capsys):
+    code, _, err = run(capsys, "malle", "--degree", "4", "--gens", "(1 2) (3 4)")
+    assert code == 2 and "bad cycle notation" in err
+
+
 def test_parse_helpers():
     line = parse_line("1,0,2;1,1,2;0,1,2")
     assert len(line.roots) == 3
@@ -262,6 +267,27 @@ def test_count_config_without_run_section(tmp_path, capsys):
     )
     assert code == 0
     assert len(json.loads(out)["samples"]) == 2
+
+
+def test_count_config_bad_threads_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nfamily = rooted3\nthreads = two\n")
+    code, _, err = run(capsys, "count", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2 and "threads" in err
+
+
+def test_count_config_bad_steps_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nfamily = rooted3\n\n[schedule]\nsteps = x\n")
+    code, _, err = run(capsys, "count", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2 and "steps" in err
+
+
+def test_count_config_bad_bmun_modulus_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nfamily = bmun\n\n[params]\nn = two\n")
+    code, _, err = run(capsys, "count", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2 and "n must be an integer" in err
 
 
 def test_count_config_file_and_env_threads(tmp_path, capsys, monkeypatch):

@@ -175,6 +175,17 @@ def test_tangential_equals_generic_route_always():
     ).total
 
 
+def test_tangential_height_factors_only_root_values_and_max(factor_calls):
+    # the power-free parts are read off the factorizations of the root
+    # values; Phi_m(v) is never built and factored again
+    line = RootedLine((((1, 0), 3), ((1, 1), 2), ((1, -4), 5)))
+    for a, b in [(12, 5), (2**7 * 3**2, 7**4 * 5), (-1000, 999)]:
+        factor_calls.clear()
+        tangential_height(line, (a, b))
+        expected = {abs(v) for v in line.values_at((a, b))} | {max(abs(a), abs(b))}
+        assert set(factor_calls) == expected, (a, b)
+
+
 def test_edd_tangential_identity_random_clean_points():
     from stacky_heights.checks import random_clean_point, random_rooted_line
 

@@ -72,6 +72,13 @@ def test_field_discriminant():
     assert QuadraticPoint.split((1, 1), (2, 1)).field_discriminant() == 1
 
 
+def test_field_discriminant_factors_the_discriminant_once(factor_calls):
+    # 12 * 7^2 = 588 = -(b^2 - 4ac) for (1, 0, 147): squarefree part -3
+    assert QuadraticPoint.irreducible(1, 0, 147).field_discriminant() == -3
+    assert QuadraticPoint.irreducible(1, 2, -17).field_discriminant() == 8  # 72 = 2 * 6^2
+    assert set(factor_calls) == {588, 72}
+
+
 def test_abs_height_examples():
     assert math.isclose(
         abs_height(QuadraticPoint.irreducible(1, 0, -2)), math.sqrt(2), rel_tol=1e-12
