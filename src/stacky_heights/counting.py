@@ -253,6 +253,7 @@ def sieve_power_free_parts(
 
 
 _BMUN_MAX_ROOT = 1 << 25  # Moebius table entries; about 26 bytes each
+_FIELDS_MAX_X = 1 << 30  # squarefree flags; one byte each
 
 
 def count_bmun(n: int, B: Bounds) -> Counts:
@@ -294,8 +295,18 @@ def count_quadratic_fields(X: Bounds) -> Counts:
     """Quadratic fields with |discriminant| <= X.
 
     Counts squarefree d not in {0, 1}, with |d| <= X when d = 1 mod 4 and
-    4|d| <= X otherwise.
+    4|d| <= X otherwise.  The squarefree flags run up to floor(X), which may
+    be at most 2^30 (a 1 GB table); a larger bound raises ValueError before
+    any table is built.
     """
+
+    def level(x: Fraction) -> Optional[int]:
+        if _floor(x) > _FIELDS_MAX_X:
+            raise ValueError(
+                f"count_quadratic_fields builds squarefree flags up to floor(X), "
+                f"capped at 2^30 = {_FIELDS_MAX_X}; got X = {x}"
+            )
+        return _floor(x) if x >= 3 else None
 
     def count_levels(levels: list[int]) -> list[int]:
         table = _squarefree_flags(levels[-1])
@@ -311,7 +322,7 @@ def count_quadratic_fields(X: Bounds) -> Counts:
             counts.append(total)
         return counts
 
-    return _schedule(X, lambda x: _floor(x) if x >= 3 else None, count_levels)
+    return _schedule(X, level, count_levels)
 
 
 # ----------------------------------------------------------------------
@@ -332,11 +343,24 @@ def _coprime_upto(bounds: Sequence[int], prime_list: Sequence[int]) -> list[int]
     return [sum(sign * (bound // d) for sign, d in terms) for bound in bounds]
 
 
+_ROOTED3_MAX_ROOT = 1 << 25  # Phi_3 table entries; about 25 bytes each
+
+
 def count_rooted3_at_0(B: Bounds) -> Counts:
-    """Pairs of coprime a, b >= 1 with Phi_3(a) * max(a, b)^4 < B^3."""
+    """Pairs of coprime a, b >= 1 with Phi_3(a) * max(a, b)^4 < B^3.
+
+    The tables run over a up to R = floor(T^(1/4)), T the largest integer
+    below B^3.  R may be at most 2^25 (B up to about 1e10, tables under
+    1 GB); a larger bound raises ValueError before any table is built.
+    """
 
     def level(b: Fraction) -> Optional[int]:
         T = _strict_floor(b**3) if b > 0 else 0
+        if _iroot(T, 4) > _ROOTED3_MAX_ROOT:
+            raise ValueError(
+                f"count_rooted3_at_0 builds Phi_3 tables up to floor(T^(1/4)), "
+                f"capped at 2^25 = {_ROOTED3_MAX_ROOT}; got B = {b}"
+            )
         return T if T >= 1 else None
 
     def count_levels(levels: list[int]) -> list[int]:
@@ -371,15 +395,19 @@ def count_rooted3_at_0(B: Bounds) -> Counts:
 # (2,2,2)-rooted line at 0, -1, infinity:
 # sqf(a) sqf(b) sqf(a+b) max(a, b) < B^2 over coprime a, b >= 1.
 #
+# The key is symmetric in a and b, and the only coprime pair with a = b is
+# (1, 1), whose key is 2.  So the kernel walks only b > a and the count at
+# each level T >= 2 is twice that, plus 1.
+#
 # Writing a = s x^2, b = t y^2 with s = sqf(a), t = sqf(b), the constraint
 # (with sqf(a+b) >= 1) forces s*t*max(s x^2, t y^2) <= T, which bounds the
 # candidates.  Candidates are grouped by v = a + b into segments, a
 # segmented sieve supplies u = sqf(v), and the final test runs in int64 as
-# s*t*max(a, b) <= T // u.  For integers this is the same as the product
-# being at most T, and no product is formed: s*t*max(a, b) <= T holds for
-# every candidate row by construction, and v <= 2T.  Only candidates that
-# pass the bound go on to the gcd test.  Everything stays exact while the
-# int64 square roots of the y-windows do, that is for 2T < 2^52.
+# s*t*b <= T // u.  For integers this is the same as the product being at
+# most T, and no product is formed: s*t*b <= T holds for every candidate
+# row by construction, and v <= 2T.  Only candidates that pass the bound go
+# on to the gcd test.  Everything stays exact while the int64 square roots
+# of the y-windows do, that is for 2T < 2^52.
 
 _F222_CHUNK = 1_000_000  # candidates per pass; each int64 temporary is 8 MB
 _F222_EXACT_LIMIT = 1 << 52  # _isqrt_vec is exact below this
@@ -406,21 +434,23 @@ def _f222_rows(T: int):
 
 
 def _f222_segment_count(lo: int, hi: int, levels: np.ndarray, rows, primes) -> np.ndarray:
-    """Counted points with v = a + b in [lo, hi), by level.
+    """Counted points with b > a and v = a + b in [lo, hi), by level.
 
     levels is increasing and the rows are built for T = levels[-1]; entry
-    i counts the points whose key sqf(a) sqf(b) sqf(a+b) max(a, b) lies in
-    (levels[i - 1], levels[i]].
+    i counts the points whose key sqf(a) sqf(b) sqf(a+b) b lies in
+    (levels[i - 1], levels[i]].  Each row walks only y with t y^2 > a, so
+    max(a, b) is b.
     """
     rows_a, rows_t, rows_st, rows_ymax = rows
     T = int(levels[-1])
     hist = np.zeros(len(levels), dtype=np.int64)
     seg_sqf = _power_free_window(lo, hi, 2, primes)
 
-    # y-window of each row whose v = a + t y^2 lands in [lo, hi)
+    # y-window of each row with b = t y^2 > a and v = a + b in [lo, hi)
     zlo = np.maximum(lo - rows_a, 1)
     zlo = (zlo + rows_t - 1) // rows_t
-    ylo = np.maximum(_isqrt_vec(zlo - 1) + 1, 1)  # ceil sqrt, at least 1
+    # y >= ceil sqrt(zlo), and t y^2 > a exactly when y > isqrt(a // t)
+    ylo = np.maximum(_isqrt_vec(zlo - 1), _isqrt_vec(rows_a // rows_t)) + 1
     zhi = (hi - 1 - rows_a) // rows_t
     yhi = np.where(zhi >= 1, _isqrt_vec(np.maximum(zhi, 0)), 0)
     yhi = np.minimum(yhi, rows_ymax)
@@ -445,11 +475,11 @@ def _f222_segment_count(lo: int, hi: int, levels: np.ndarray, rows, primes) -> n
         b *= rows_t[ridx]
         a = rows_a[ridx]
         u = seg_sqf[a + b - lo]
-        keep = np.flatnonzero(rows_st[ridx] * np.maximum(a, b) <= T // u)
+        keep = np.flatnonzero(rows_st[ridx] * b <= T // u)
         a, b, u = a[keep], b[keep], u[keep]
         coprime = np.gcd(a, b) == 1
-        # the key st max(a, b) u of a kept row is at most T: no overflow
-        key = rows_st[ridx[keep]] * np.maximum(a, b) * u
+        # the key st b u of a kept row is at most T: no overflow
+        key = rows_st[ridx[keep]] * b * u
         hist += np.bincount(np.searchsorted(levels, key[coprime]), minlength=len(levels))
         start = end
     return hist
@@ -486,7 +516,7 @@ def count_football222(B: Bounds, threads: int = 1) -> Counts:
             return _f222_segment_count(lo, hi, levels_arr, rows, primes)
 
         parts = _run_parallel(segment, range(2, 2 * T + 1, seg_size), threads)
-        return np.cumsum(sum(parts)).tolist()
+        return (np.cumsum(2 * sum(parts)) + 1).tolist()
 
     return _schedule(B, level, count_levels)
 

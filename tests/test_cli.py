@@ -258,6 +258,28 @@ def test_count_bmun_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert "count_bmun" in err and "2^25" in err
 
 
+@pytest.mark.parametrize(
+    "family, kernel, builder, b0, cap",
+    [
+        ("quadratic-fields", "count_quadratic_fields", "_squarefree_flags", "10000000000", "2^30"),
+        ("rooted3", "count_rooted3_at_0", "sieve_power_free_parts", "100000000000", "2^25"),
+    ],
+)
+def test_count_table_caps_exit_3(tmp_path, capsys, monkeypatch, family, kernel, builder, b0, cap):
+    from stacky_heights import counting
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(counting, builder, no_table)
+    code, out, err = run(
+        capsys, "count", "--family", family, "--b0", b0, "--steps", "1",
+        "--out", str(tmp_path),
+    )
+    assert code == 3 and out == ""
+    assert kernel in err and cap in err
+
+
 def test_count_config_without_run_section(tmp_path, capsys):
     cfg = tmp_path / "sched.cfg"
     cfg.write_text("[schedule]\nb0 = 2\nratio = 2\nsteps = 2\n")

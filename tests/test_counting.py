@@ -214,6 +214,30 @@ def test_count_football222_threads_deterministic():
     assert seq == par == count_football222(40)
 
 
+@pytest.mark.parametrize("segment_size", [7, 64])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_count_football222_pair_cut_matches_naive(monkeypatch, segment_size, threads):
+    # the kernel walks only b > a and doubles; the oracle loops over every
+    # ordered pair, and small segments put many pairs on segment boundaries
+    from stacky_heights import counting
+
+    Bs = [F(14142, 10000), F(3, 2), 2, F(5, 2), 3, 5, 8, F(23, 2), 12]
+    want = [naive_football222(B) for B in Bs]
+    monkeypatch.setattr(counting, "SEGMENT_SIZE", segment_size)
+    assert count_football222(Bs, threads=threads) == want
+    # a <-> b is an involution on the counted pairs, fixing only (1, 1)
+    assert all(n % 2 == 1 for B, n in zip(Bs, want) if F(B) ** 2 > 2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_count_football222_pinned_schedule(threads):
+    # criterion 09's schedule up to B = 3163; 2T is about 2e7, two segments
+    Bs = [100, 178, 316, 562, 1000, 1778, 3163]
+    assert count_football222(Bs, threads=threads) == [
+        793, 1761, 3903, 8155, 17357, 35945, 74387,
+    ]
+
+
 def test_count_football222_coprime_box_lower_bound():
     for B in (30, 100, 316):
         n = count_football222(B)
@@ -440,6 +464,53 @@ def test_count_bmun_size_cap(monkeypatch):
     for n, B in ((2, 2**25), (5, F(2**27 + 1, 4)), (2, [2**25 + F(1, 2), 7])):
         with pytest.raises(LookupError):
             count_bmun(n, B)
+    assert limits == [2**25] * 3
+
+
+def test_count_quadratic_fields_size_cap(monkeypatch):
+    # the squarefree flags run up to floor(X); a stand-in table builder
+    # records its limit instead of allocating
+    from stacky_heights import counting
+
+    limits = []
+
+    def record(limit):
+        limits.append(limit)
+        raise LookupError("stand-in table")
+
+    monkeypatch.setattr(counting, "_squarefree_flags", record)
+    for X in (10**10, 2**30 + 1, [10, 2**30 + 1]):
+        with pytest.raises(ValueError, match=r"count_quadratic_fields .*2\^30"):
+            count_quadratic_fields(X)
+    assert limits == []
+    for X in (2**30, F(2**31 + 1, 2), [2**30 + F(1, 2), 7]):
+        with pytest.raises(LookupError):
+            count_quadratic_fields(X)
+    assert limits == [2**30] * 3
+
+
+def test_count_rooted3_size_cap(monkeypatch):
+    # the Phi_3 table runs up to R = floor(T^(1/4)), T the largest integer
+    # below B^3; R = 2^25 is allowed and 2^25 + 1 is not
+    from stacky_heights import counting
+
+    limits = []
+
+    def record(limit, m):
+        limits.append(limit)
+        raise LookupError("stand-in table")
+
+    monkeypatch.setattr(counting, "sieve_power_free_parts", record)
+    edge = (2**25 + 1) ** 4  # R > 2^25 exactly when T >= edge
+    below = _iroot(edge, 3)  # below^3 <= edge, so T < edge
+    assert below**3 <= edge < (below + 1) ** 3
+    for B in (10**11, below + 1, [10, below + 1]):
+        with pytest.raises(ValueError, match=r"count_rooted3_at_0 .*2\^25"):
+            count_rooted3_at_0(B)
+    assert limits == []
+    for B in (below, F(2 * below - 1, 2), [below, 7]):
+        with pytest.raises(LookupError):
+            count_rooted3_at_0(B)
     assert limits == [2**25] * 3
 
 
