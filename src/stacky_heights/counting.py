@@ -11,9 +11,12 @@ call keeps no module-level state and concurrent calls do not interfere.
 Every arithmetic table (Moebius, squarefree flags, totients, prime
 divisors, power-free parts) is built in the "sieve tables" section from
 one prime list, _primes_upto, by strided numpy walks over the multiples
-of each prime.  The heavy enumeration (pairs with three squarefree-part
-constraints) runs on segmented windows of those walks; the football222
-segment size follows SEGMENT_SIZE.
+of each prime.  The heavy enumeration (football222: pairs with three
+squarefree-part constraints) needs sqf(a + b) only at near-squares.  A
+counted pair has b > (a + b)/2, so with a + b = u z^2 and u = sqf(a + b),
+u^2 z^2 = u (a + b) < 2 u b <= 2 sqf(a) sqf(b) u b <= 2T, and u z <=
+isqrt(2T).  Its segments of SEGMENT_SIZE values of a + b hold u at those
+values only, built from the squarefree u <= isqrt(2T) with no prime walk.
 
 Every count kernel takes one bound or a sequence of bounds.  A sequence is
 counted in one pass at its largest bound, with each table built once, and
@@ -112,9 +115,9 @@ def _iroot(n: int, k: int) -> int:
 
 def _isqrt_vec(z: np.ndarray) -> np.ndarray:
     """Exact elementwise floor sqrt for nonnegative int64 below 2^52."""
-    r = np.sqrt(z.astype(np.float64)).astype(np.int64)
-    r = np.where((r + 1) * (r + 1) <= z, r + 1, r)
-    r = np.where(r * r > z, r - 1, r)
+    r = np.sqrt(z).astype(np.int64)  # off by at most one below 2^52
+    r += (r + 1) * (r + 1) <= z
+    r -= r * r > z
     return r
 
 
@@ -401,15 +404,18 @@ def count_rooted3_at_0(B: Bounds) -> Counts:
 #
 # Writing a = s x^2, b = t y^2 with s = sqf(a), t = sqf(b), the constraint
 # (with sqf(a+b) >= 1) forces s*t*max(s x^2, t y^2) <= T, which bounds the
-# candidates.  Candidates are grouped by v = a + b into segments, a
-# segmented sieve supplies u = sqf(v), and the final test runs in int64 as
-# s*t*b <= T // u.  For integers this is the same as the product being at
-# most T, and no product is formed: s*t*b <= T holds for every candidate
-# row by construction, and v <= 2T.  Only candidates that pass the bound go
-# on to the gcd test.  Everything stays exact while the int64 square roots
-# of the y-windows do, that is for 2T < 2^52.
+# candidates.  Candidates are grouped by v = a + b into segments.  Writing
+# v = u z^2 with u = sqf(v), a counted pair has u*v < 2*u*b <= 2*s*t*u*b <= 2T
+# (b > v/2 and s, t >= 1), so u z < sqrt(2T): only these near-squares can
+# count, and a table over the segment holds u at them and 0 elsewhere.  The
+# final test runs in int64 as s*t*b <= T // u on the nonzero entries.  For
+# integers this is the same as the product being at most T, and no product
+# is formed: s*t*b <= T holds for every candidate row by construction, and
+# v <= 2T.  Only candidates that pass the bound go on to the gcd test.
+# Everything stays exact while the int64 square roots of the y-windows do,
+# that is for 2T < 2^52.
 
-_F222_CHUNK = 1_000_000  # candidates per pass; each int64 temporary is 8 MB
+_F222_CHUNK = 1 << 16  # candidates per pass; each int64 temporary is 512 kB
 _F222_EXACT_LIMIT = 1 << 52  # _isqrt_vec is exact below this
 
 
@@ -433,7 +439,26 @@ def _f222_rows(T: int):
     return s[pair] * x * x, t[pair], (s * t)[pair], ymax[pair]
 
 
-def _f222_segment_count(lo: int, hi: int, levels: np.ndarray, rows, primes) -> np.ndarray:
+def _near_square_window(lo: int, hi: int, T: int) -> np.ndarray:
+    """int32 table over v in [lo, hi): u at each v = u z^2 with u squarefree
+    and u z <= isqrt(2T), 0 everywhere else.
+
+    The entry at v is sqf(v) wherever it is nonzero; the zeros are the
+    values no pair counted at level T can have as a + b.
+    """
+    R = math.isqrt(2 * T)
+    u = np.flatnonzero(_squarefree_flags(R))
+    zlo = _isqrt_vec((lo - 1) // u) + 1
+    zhi = np.minimum(R // u, _isqrt_vec((hi - 1) // u))
+    lens = np.maximum(zhi - zlo + 1, 0)
+    z = _ragged_arange(lens) + np.repeat(zlo, lens)
+    u = np.repeat(u, lens)
+    table = np.zeros(hi - lo, dtype=np.int32)
+    table[u * z * z - lo] = u
+    return table
+
+
+def _f222_segment_count(lo: int, hi: int, levels: np.ndarray, rows) -> np.ndarray:
     """Counted points with b > a and v = a + b in [lo, hi), by level.
 
     levels is increasing and the rows are built for T = levels[-1]; entry
@@ -444,7 +469,8 @@ def _f222_segment_count(lo: int, hi: int, levels: np.ndarray, rows, primes) -> n
     rows_a, rows_t, rows_st, rows_ymax = rows
     T = int(levels[-1])
     hist = np.zeros(len(levels), dtype=np.int64)
-    seg_sqf = _power_free_window(lo, hi, 2, primes)
+    near = _near_square_window(lo, hi, T)
+    is_near = near != 0  # one byte a value: the candidate gather reads less memory
 
     # y-window of each row with b = t y^2 > a and v = a + b in [lo, hi)
     zlo = np.maximum(lo - rows_a, 1)
@@ -467,19 +493,23 @@ def _f222_segment_count(lo: int, hi: int, levels: np.ndarray, rows, primes) -> n
         end = min(max(end, start + 1), len(live))
         rows = live[start:end]
         reps = counts[rows]
-        ridx = np.repeat(rows, reps)
-        # y runs from ylo upward within each row; b = t y^2 is built in place
-        b = np.arange(len(ridx), dtype=np.int64)
-        b += np.repeat(ylo[rows] - (np.cumsum(reps) - reps), reps)
-        b *= b
-        b *= rows_t[ridx]
-        a = rows_a[ridx]
-        u = seg_sqf[a + b - lo]
-        keep = np.flatnonzero(rows_st[ridx] * b <= T // u)
-        a, b, u = a[keep], b[keep], u[keep]
+        ends = np.cumsum(reps)
+        # y runs from ylo upward within each row; v - lo = a - lo + t y^2
+        v = np.arange(int(ends[-1]), dtype=np.int64)
+        v += np.repeat(ylo[rows] - (ends - reps), reps)
+        v *= v
+        v *= np.repeat(rows_t[rows], reps)
+        v += np.repeat(rows_a[rows] - lo, reps)
+        hit = np.flatnonzero(is_near[v])  # only near-squares v can count
+        row = rows[np.searchsorted(ends, hit, side="right")]
+        v = v[hit]
+        a, st, u = rows_a[row], rows_st[row], near[v].astype(np.int64)
+        b = v + (lo - a)
+        keep = np.flatnonzero(st * b <= T // u)
+        a, b, st, u = a[keep], b[keep], st[keep], u[keep]
         coprime = np.gcd(a, b) == 1
         # the key st b u of a kept row is at most T: no overflow
-        key = rows_st[ridx[keep]] * b * u
+        key = st * b * u
         hist += np.bincount(np.searchsorted(levels, key[coprime]), minlength=len(levels))
         start = end
     return hist
@@ -508,12 +538,11 @@ def count_football222(B: Bounds, threads: int = 1) -> Counts:
         T = levels[-1]
         seg_size = min(SEGMENT_SIZE, 2 * T)
         rows = _f222_rows(T)
-        primes = _primes_upto(math.isqrt(2 * T))
         levels_arr = np.array(levels, dtype=np.int64)
 
         def segment(lo: int) -> np.ndarray:
             hi = min(lo + seg_size, 2 * T + 1)
-            return _f222_segment_count(lo, hi, levels_arr, rows, primes)
+            return _f222_segment_count(lo, hi, levels_arr, rows)
 
         parts = _run_parallel(segment, range(2, 2 * T + 1, seg_size), threads)
         return (np.cumsum(2 * sum(parts)) + 1).tolist()

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -16,6 +17,7 @@ from stacky_heights.counting import (
     _f222_rows,
     _iroot,
     _mobius_upto,
+    _near_square_window,
     _prime_divisors_from_5,
     _quadratic_bmax,
     count_bmun,
@@ -214,6 +216,14 @@ def test_count_football222_threads_deterministic():
     assert seq == par == count_football222(40)
 
 
+PAIR_CUT_BS = [F(14142, 10000), F(3, 2), 2, F(5, 2), 3, 5, 8, F(23, 2), 12]
+
+
+@functools.cache
+def _pair_cut_naive():
+    return [naive_football222(B) for B in PAIR_CUT_BS]
+
+
 @pytest.mark.parametrize("segment_size", [7, 64])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_count_football222_pair_cut_matches_naive(monkeypatch, segment_size, threads):
@@ -221,12 +231,56 @@ def test_count_football222_pair_cut_matches_naive(monkeypatch, segment_size, thr
     # ordered pair, and small segments put many pairs on segment boundaries
     from stacky_heights import counting
 
-    Bs = [F(14142, 10000), F(3, 2), 2, F(5, 2), 3, 5, 8, F(23, 2), 12]
-    want = [naive_football222(B) for B in Bs]
+    want = _pair_cut_naive()
     monkeypatch.setattr(counting, "SEGMENT_SIZE", segment_size)
-    assert count_football222(Bs, threads=threads) == want
+    assert count_football222(PAIR_CUT_BS, threads=threads) == want
     # a <-> b is an involution on the counted pairs, fixing only (1, 1)
-    assert all(n % 2 == 1 for B, n in zip(Bs, want) if F(B) ** 2 > 2)
+    assert all(n % 2 == 1 for B, n in zip(PAIR_CUT_BS, want) if F(B) ** 2 > 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+@pytest.mark.parametrize("segment_size", [7, 64])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_count_football222_chunk_boundaries_match_naive(
+    monkeypatch, chunk, segment_size, threads
+):
+    # a chunk holds whole rows of at least this many candidates in all, so
+    # these give chunks of one or a few rows, and each near-square hit must
+    # find its row from the offsets of its own chunk
+    from stacky_heights import counting
+
+    monkeypatch.setattr(counting, "_F222_CHUNK", chunk)
+    monkeypatch.setattr(counting, "SEGMENT_SIZE", segment_size)
+    assert count_football222(PAIR_CUT_BS, threads=threads) == _pair_cut_naive()
+
+
+def test_count_football222_builds_no_power_free_window(monkeypatch):
+    from stacky_heights import counting
+
+    def no_sieve(*args):
+        raise AssertionError("count_football222 ran the power-free sieve")
+
+    monkeypatch.setattr(counting, "_power_free_window", no_sieve)
+    assert count_football222([8, 1200]) == [naive_football222(8), 21_869]
+
+
+def _near_square_oracle(lo, hi, T):
+    r = math.isqrt(2 * T)
+    out = []
+    for v in range(lo, hi):
+        u = power_free_part(v, 2)
+        out.append(u if u * math.isqrt(v // u) <= r else 0)
+    return out
+
+
+@pytest.mark.parametrize("T", [2, 3, 5, 50, 1234, 9999])
+def test_near_square_window_matches_power_free_part(T):
+    top = 2 * T + 1
+    windows = [(1, top), (1, 2), (T // 2 + 1, T + 2), (max(1, top - 13), top), (top - 1, top)]
+    for lo, hi in windows:
+        table = _near_square_window(lo, hi, T)
+        assert table.dtype == np.int32
+        assert table.tolist() == _near_square_oracle(lo, hi, T), (T, lo, hi)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
