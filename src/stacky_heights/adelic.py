@@ -13,8 +13,8 @@ known (rational, nonzero) pullback values x_i:
     sum over primes p of ceil(-min_i ord_p(x_i) / n) * log p
     +  (1/n) * log max_i |x_i|,
 
-where the archimedean term is expanded exactly through the prime
-factorization of the maximizing value.  The normalization carries no
+where the archimedean term is read from the valuations of the maximizing
+value, so each value is factored once.  The normalization carries no
 ceiling at the archimedean place, which makes the closed forms
 log max_i |M_i|^{1/a_i} (weighted projective) and log |N|^{1/n} (n-th
 power classes) hold exactly rather than up to a bounded function.
@@ -176,12 +176,23 @@ def _ord_map(x: Fraction) -> dict[int, int]:
     return ords
 
 
+def _section_height(n: int, ord_maps: list[Mapping[int, int]], top: int) -> ExactHeight:
+    """sum_p (ceil(-min_i o_i(p)) + o_top(p)) log p with o_i(p) = ord_maps[i][p] / n:
+    ord_maps[i] maps p to ord_p of the i-th section value, and ord_maps[top]
+    is that of a largest |x_top|, which gives the term (1/n) log |x_top|."""
+    terms: dict[int, Fraction] = {}
+    for p in set().union(*ord_maps):
+        m = min(om.get(p, 0) for om in ord_maps)
+        terms[p] = Fraction(ord_maps[top].get(p, 0), n) - (m // n)  # ceil(-m/n) = -(m // n)
+    return ExactHeight(terms)
+
+
 def height_from_sections(n: int, values: Iterable[Rational]) -> ExactHeight:
     """Height of a point from pullbacks of generating sections of L^n.
 
     values are the nonzero rational section values under one fixed
     trivialization; the result is invariant under multiplying all of them
-    by lambda^n for any rational lambda != 0.
+    by lambda^n for any rational lambda != 0.  Each value is factored once.
     """
     vals = [Fraction(v) for v in values]
     if n < 1:
@@ -190,16 +201,5 @@ def height_from_sections(n: int, values: Iterable[Rational]) -> ExactHeight:
         raise ValueError("need at least one section value")
     if any(v == 0 for v in vals):
         raise ValueError("section values must be nonzero")
-
-    ord_maps = [_ord_map(v) for v in vals]
-    primes = set().union(*ord_maps)
-    terms: dict[int, Fraction] = {}
-    for p in primes:
-        m = min(om.get(p, 0) for om in ord_maps)
-        c = -(m // n)  # ceil(-m/n)
-        if c:
-            terms[p] = Fraction(c)
-
-    vmax = max(abs(v) for v in vals)
-    arch = ExactHeight.log_abs(vmax, Fraction(1, n))
-    return ExactHeight(terms) + arch
+    top = max(range(len(vals)), key=lambda i: abs(vals[i]))
+    return _section_height(n, [_ord_map(v) for v in vals], top)

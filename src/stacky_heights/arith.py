@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
     "FactoredInt",
@@ -122,7 +121,6 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
     _factor_into(n // d, out)
 
 
-@lru_cache(maxsize=1 << 16)
 def _factor_abs(n: int) -> tuple[tuple[int, int], ...]:
     """Factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
     out: dict[int, int] = {}

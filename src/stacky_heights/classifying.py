@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .adelic import ExactHeight, height_from_sections
+from .adelic import ExactHeight, _section_height
 from .arith import factor, fundamental_discriminant, power_free_part, power_free_reduce
 
 __all__ = [
@@ -71,12 +71,13 @@ def class_of(x: Rational, n: int) -> PowerClass:
 def bmun_height(c: PowerClass, j: int) -> ExactHeight:
     """Height of the class against the j-th power of the standard character.
 
-    Equals height_from_sections(n, [rep^j]); for j = 1 this is
-    (1/n) log |rep|.
+    Equals height_from_sections(n, [rep^j]), with the valuations j * ord_p(rep)
+    read from one factorization of rep, so rep^j is never built; for j = 1
+    this is (1/n) log |rep|.
     """
     if not 1 <= j <= c.n - 1:
         raise ValueError("j must satisfy 1 <= j <= n-1")
-    return height_from_sections(c.n, [Fraction(c.rep) ** j])
+    return _section_height(c.n, [{p: j * e for p, e in factor(c.rep).factors}], 0)
 
 
 def bmu3_vector_height(c: PowerClass) -> ExactHeight:

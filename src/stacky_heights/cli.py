@@ -160,6 +160,8 @@ def cmd_height(args) -> int:
             if args.weights is None or args.coords is None:
                 raise UsageError("need --weights and --coords (or --point)")
             weights, coords = _ints(args.weights), _ints(args.coords)
+        if len(weights) != len(coords):
+            raise UsageError(f"{len(weights)} weights but {len(coords)} coordinates")
         h = height_Oj(WeightedPoint(weights, coords), args.j)
         _emit({"height": h.to_json()}, "height")
     elif fam == "bmun":
@@ -199,8 +201,10 @@ def cmd_height(args) -> int:
     elif fam == "sym2":
         if args.form is None:
             raise UsageError("need --form a,b,c")
-        a, b, c = _ints(args.form)
-        q = QuadraticPoint.irreducible(a, b, c)
+        form = _ints(args.form)
+        if len(form) != 3:
+            raise UsageError("sym2 form must be a,b,c")
+        q = QuadraticPoint.irreducible(*form)
         _emit(
             {
                 "stable": stable_sym_height(q),

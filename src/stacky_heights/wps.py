@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .adelic import ExactHeight, height_from_sections
+from .adelic import ExactHeight, _section_height
 from .arith import factor, ord_p
 
 __all__ = [
@@ -47,13 +47,14 @@ class WeightedPoint:
             raise ValueError("coordinates must not all be zero")
 
     def is_minimal(self) -> bool:
-        nz = [(m, a) for m, a in zip(self.coords, self.weights) if m != 0]
-        g = math.gcd(*(abs(m) for m, _ in nz))
-        if g <= 1:
-            return True
-        return not any(
-            all(ord_p(m, p) >= a for m, a in nz) for p, _ in factor(g).factors
-        )
+        return _descent(self) == 1
+
+
+def _descent(pt: WeightedPoint) -> int:
+    """The largest lambda >= 1 with lambda^{a_i} | M_i for every i."""
+    nz = [(m, a) for m, a in zip(pt.coords, pt.weights) if m != 0]
+    g = math.gcd(*(m for m, _ in nz))
+    return math.prod(p ** min(ord_p(m, p) // a for m, a in nz) for p, _ in factor(g).factors)
 
 
 def minimal_form(weights, coords) -> WeightedPoint:
@@ -67,16 +68,8 @@ def minimal_form(weights, coords) -> WeightedPoint:
     explicitly when enumerating.
     """
     pt = WeightedPoint(tuple(int(a) for a in weights), tuple(int(m) for m in coords))
-    coords = list(pt.coords)
-    nz = [(m, a) for m, a in zip(coords, pt.weights) if m != 0]
-    g = math.gcd(*(abs(m) for m, _ in nz))
-    if g > 1:
-        for p, _ in factor(g).factors:
-            k = min(ord_p(m, p) // a for m, a in nz)
-            if k > 0:
-                for i, a in enumerate(pt.weights):
-                    if coords[i]:
-                        coords[i] //= p ** (a * k)
+    lam = _descent(pt)
+    coords = [m // lam**a for m, a in zip(pt.coords, pt.weights)]
     if all(a % 2 == 1 for a in pt.weights):
         first = next(m for m in coords if m != 0)
         if first < 0:
@@ -95,16 +88,18 @@ def height_Oj(pt: WeightedPoint, j: int) -> ExactHeight:
     With A = lcm(weights), the monomials M_i^{jA/a_i} are pullbacks of
     generating sections of the A-th power of O(j); mixed monomials never
     change the min valuation or the max absolute value, so the pure powers
-    suffice.  Heights against O(j) are not j times the O(1) height.
+    suffice.  Their valuations (jA/a_i) ord_p(M_i) come from one factorization
+    of each M_i, so no power is factored.  Heights against O(j) are not j
+    times the O(1) height.
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
     pt = minimal_form(pt.weights, pt.coords)
     A = math.lcm(*pt.weights)
-    values = [
-        m ** (j * A // a) for m, a in zip(pt.coords, pt.weights) if m != 0
-    ]
-    return height_from_sections(A, values)
+    nz = [(m, a) for m, a in zip(pt.coords, pt.weights) if m != 0]
+    ords = [{p: j * A // a * e for p, e in factor(m).factors} for m, a in nz]
+    top = max(range(len(nz)), key=lambda i: abs(nz[i][0]) ** (A // nz[i][1]))
+    return _section_height(A, ords, top)
 
 
 def elliptic_naive_height(A: int, B: int) -> ExactHeight:

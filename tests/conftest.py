@@ -20,11 +20,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def factor_calls(monkeypatch):
-    """The |n| of every factor(n) call made from here on, cache hits
-    included; the factorization cache starts empty."""
+    """The |n| of every factor(n) call made from here on."""
     import stacky_heights.arith as arith
 
-    arith._factor_abs.cache_clear()
     real = arith._factor_abs
     calls: list[int] = []
 

@@ -49,6 +49,15 @@ def test_height_from_sections_examples():
     assert height_from_sections(3, [12]) == ExactHeight({2: F(2, 3), 3: F(1, 3)})
 
 
+def test_height_from_sections_factors_each_value_once(factor_calls):
+    values = [12, -45 * 1_000_003, 77, 999_983**2]
+    height_from_sections(2, values)
+    assert sorted(factor_calls) == sorted(abs(v) for v in values)
+    factor_calls.clear()
+    height_from_sections(3, [F(-9, 8), F(1_000_003, 49)])
+    assert sorted(factor_calls) == [8, 9, 49, 1_000_003]
+
+
 def test_height_from_sections_errors():
     with pytest.raises(ValueError):
         height_from_sections(2, [])

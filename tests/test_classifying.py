@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stacky_heights.adelic import ExactHeight
+from stacky_heights.adelic import ExactHeight, height_from_sections
 from stacky_heights.classifying import (
     PermGroup,
     PowerClass,
@@ -63,6 +63,26 @@ def test_bmun_height_is_class_function(n, x, tn, td, data):
     c1 = class_of(x, n)
     c2 = class_of(F(x) * t**n, n)
     assert bmun_height(c1, j) == bmun_height(c2, j)
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 7), st.integers(-(10**6), 10**6).filter(bool))
+def test_bmun_height_matches_engine_on_rep_powers(n, x):
+    # the reference builds rep^j and factors it
+    c = class_of(x, n)
+    for j in range(1, n):
+        assert bmun_height(c, j) == height_from_sections(n, [c.rep**j])
+
+
+def test_bmun_heights_factor_no_value_above_rep(factor_calls):
+    for x, n in [(7 * 1_000_003, 3), (-(5**3) * 999_983, 4), (2 * 3**4 * 1_000_033, 6)]:
+        c = class_of(x, n)
+        factor_calls.clear()
+        for j in range(1, n):
+            bmun_height(c, j)
+        if n == 3:
+            bmu3_vector_height(c)
+        assert factor_calls and max(factor_calls) <= abs(c.rep)
 
 
 def test_bmu3_vector_height_examples():

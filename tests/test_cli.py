@@ -88,6 +88,12 @@ def test_exit_codes(capsys):
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, "height", "bmun", "--n", "3", "--x", "abc")
     assert code == 2
+    code, _, err = run(capsys, "height", "sym2", "--form", "1,2")
+    assert code == 2 and "sym2 form must be a,b,c" in err
+    code, _, err = run(capsys, "height", "wps", "--point", "1,2:3")
+    assert code == 2 and "2 weights but 1 coordinates" in err
+    code, _, err = run(capsys, "height", "wps", "--weights", "1", "--coords", "3,4")
+    assert code == 2 and "1 weights but 2 coordinates" in err
     # domain error -> 3
     code, _, err = run(capsys, "height", "elliptic", "--A", "0", "--B", "0")
     assert code == 3 and "domain error" in err

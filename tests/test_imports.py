@@ -1,6 +1,8 @@
-"""Every import in src/ is used: a name bound by an import statement must be
-read somewhere in its module, or re-exported, through __all__ or as a
-package __init__ importing from its own submodules."""
+"""Two ast rules over src/.  Every import is used: a name bound by an import
+statement must be read somewhere in its module, or re-exported, through
+__all__ or as a package __init__ importing from its own submodules.  No
+function is memoized with functools.lru_cache or functools.cache, so no
+module holds process-wide state."""
 
 import ast
 from pathlib import Path
@@ -43,3 +45,32 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(), package_init=path.name == "__init__.py") == []
+
+
+def cache_decorated(source: str) -> list[str]:
+    """Functions decorated with functools.lru_cache or functools.cache, by
+    bare name or through the module: each is state that lives as long as
+    the process."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_detector_flags_a_cache_decorator():
+    assert cache_decorated("@lru_cache(maxsize=8)\ndef f(n):\n    return n\n") == ["f (line 2)"]
+    assert cache_decorated("class C:\n    @functools.cache\n    def g(self):\n        pass\n") == [
+        "g (line 3)"
+    ]
+    assert cache_decorated("@functools.lru_cache\ndef h():\n    pass\n") == ["h (line 2)"]
+    assert cache_decorated("@staticmethod\ndef k():\n    pass\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_cache_decorators(path):
+    assert cache_decorated(path.read_text()) == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stacky_heights.adelic import ExactHeight
+from stacky_heights.adelic import ExactHeight, height_from_sections
 from stacky_heights.wps import (
     WeightedPoint,
     elliptic_naive_height,
@@ -90,6 +90,40 @@ def test_weighted_scaling_invariance(weights, data, lam):
     pt = WeightedPoint(tuple(weights), tuple(coords))
     scaled = tuple(c * lam**a for c, a in zip(coords, weights))
     assert height_O1(minimal_form(weights, scaled)) == height_O1(pt)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.data(),
+    st.integers(1, 12),
+    st.integers(1, 3),
+)
+def test_height_Oj_matches_engine_on_pure_powers(weights, data, lam, j):
+    # the reference builds the sections M_i^{jA/a_i} and factors them
+    coords = [
+        data.draw(st.just(0) | st.integers(-(10**3), 10**3)) * lam**a for a in weights
+    ]
+    if all(c == 0 for c in coords):
+        coords[-1] = -lam ** weights[-1]
+    A = math.lcm(*weights)
+    want = height_from_sections(
+        A, [m ** (j * A // a) for m, a in zip(coords, weights) if m != 0]
+    )
+    assert height_Oj(WeightedPoint(tuple(weights), tuple(coords)), j) == want
+
+
+def test_height_Oj_factors_no_value_above_its_coordinates(factor_calls):
+    for weights, coords in [
+        ((4, 6), (-3 * 1_000_003, 2 * 1_000_033)),
+        ((2, 3, 5), (7**2 * 1_000_003, 0, -(7**5) * 11)),
+        ((1, 2), (999_983, 999_979)),
+    ]:
+        pt = WeightedPoint(weights, coords)
+        for j in (1, 2, 3):
+            factor_calls.clear()
+            height_Oj(pt, j)
+            assert factor_calls and max(factor_calls) <= max(map(abs, coords))
 
 
 @settings(max_examples=100)
