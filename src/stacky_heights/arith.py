@@ -5,8 +5,12 @@ which returns a float with relative error well below 1e-12.
 
 Factorization strategy: full trial division for small inputs, otherwise a
 small-prime strip followed by Brent-cycle Pollard rho with deterministic
-Miller-Rabin primality testing.  This comfortably covers 128-bit operands,
-which is far beyond anything the counting harness produces.
+Miller-Rabin primality testing.  Before rho, a composite cofactor is tested
+for being a perfect power r^k with integer k-th roots: after the strip every
+prime factor exceeds 1000, so only prime k with 1000^k <= n can occur, and
+a hit factors r with the exponent multiplied by k.  So p^k costs a few roots
+where rho would take about sqrt(p) steps.  This comfortably covers 128-bit
+operands, which is far beyond anything the counting harness produces.
 """
 
 from __future__ import annotations
@@ -74,6 +78,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 0, by integer Newton from above."""
+    if n < 0:
+        raise ValueError("negative radicand")
+    if n == 0:
+        return 0
+    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _brent_rho(n: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant)."""
     if n % 2 == 0:
@@ -110,15 +128,24 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
-def _factor_into(n: int, out: dict[int, int]) -> None:
+def _factor_into(n: int, out: dict[int, int], mult: int = 1) -> None:
+    """Add mult times the factorization of n to out; every prime factor of
+    n exceeds 1000, so n = r^k needs prime k with 1000^k <= n."""
     if n == 1:
         return
     if is_prime(n):
-        out[n] = out.get(n, 0) + 1
+        out[n] = out.get(n, 0) + mult
         return
+    for k in _PRIMES_1K:
+        if 1000**k > n:
+            break
+        r = _iroot(n, k)
+        if r**k == n:
+            _factor_into(r, out, mult * k)
+            return
     d = _brent_rho(n)
-    _factor_into(d, out)
-    _factor_into(n // d, out)
+    _factor_into(d, out, mult)
+    _factor_into(n // d, out, mult)
 
 
 def _factor_abs(n: int) -> tuple[tuple[int, int], ...]:

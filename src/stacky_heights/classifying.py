@@ -85,11 +85,13 @@ def bmu3_vector_height(c: PowerClass) -> ExactHeight:
 
     For |rep| = N * M^2 with N, M coprime squarefree this is exactly
     log N + log M, which is half the log discriminant of the pure cubic
-    field of rep away from the prime 3.
+    field of rep away from the prime 3.  rep is factored once for both j.
     """
     if c.n != 3:
         raise ValueError("requires a cube class (n = 3)")
-    return bmun_height(c, 1) + bmun_height(c, 2)
+    fs = factor(c.rep).factors
+    h1, h2 = (_section_height(3, [{p: j * e for p, e in fs}], 0) for j in (1, 2))
+    return h1 + h2
 
 
 def quadratic_height(d: int) -> ExactHeight:

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .arith import factor
+from .arith import _iroot, factor
 
 __all__ = [
     "CountReport",
@@ -97,20 +97,6 @@ def _strict_floor(x: Fraction) -> int:
 
 def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
-
-
-def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0, by integer Newton from above."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
 
 
 def _isqrt_vec(z: np.ndarray) -> np.ndarray:

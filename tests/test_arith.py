@@ -248,3 +248,48 @@ def test_mahler_lt_agrees_with_float(a, b, c, num, den):
     m = mahler_measure_quadratic(a, b, c)
     if abs(m - float(bound)) > 1e-6:
         assert mahler_measure_lt(a, b, c, bound) == (m < float(bound))
+
+
+# Known primes above 1000: 10^6 + 3, a cube-class prime, 10^9 + 7 and the
+# Mersenne primes 2^31 - 1 and 2^61 - 1.
+BIG_PRIMES = [1_000_003, 899_080_667, 10**9 + 7, 2**31 - 1, 2**61 - 1]
+# Cofactors below 1000 with their factorizations written out by hand.
+SMALL_COFACTORS = [(1, {}), (27, {3: 3}), (52, {2: 2, 13: 1})]
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    """The n of every arith._brent_rho(n) call made from here on."""
+    import stacky_heights.arith as arith
+
+    real = arith._brent_rho
+    calls: list[int] = []
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "_brent_rho", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_factor_prime_powers_exactly_without_rho(p, rho_calls):
+    for k in range(2, 8):
+        for s, s_factors in SMALL_COFACTORS:
+            expected = sorted({**s_factors, p: k}.items())
+            assert list(factor(s * p**k).factors) == expected, (p, k, s)
+            assert list(factor(-s * p**k).factors) == expected, (p, k, s)
+    assert rho_calls == []
+
+
+@pytest.mark.parametrize(
+    "p, q", [(1_000_003, 899_080_667), (10**9 + 7, 2**31 - 1), (1009, 2**61 - 1)]
+)
+def test_factor_products_of_large_primes_still_split_by_rho(p, q, rho_calls):
+    assert list(factor((p * q) ** 6).factors) == [(p, 6), (q, 6)]
+    assert rho_calls == [p * q]  # the sixth root, never the power
+    rho_calls.clear()
+    assert list(factor(p * p * q).factors) == [(p, 2), (q, 1)]
+    assert list(factor(27 * p * q * q).factors) == [(3, 3), (p, 1), (q, 2)]
+    assert rho_calls

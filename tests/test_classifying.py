@@ -197,3 +197,11 @@ def test_malle_exponent_conjugation_invariant():
             inv[s] = i
         conj = [tuple(sigma[pi[inv[i]]] for i in range(4)) for pi in base.elements]
         assert malle_exponent(PermGroup(4, conj)) == e
+
+
+def test_bmu3_vector_height_factors_rep_once(factor_calls):
+    for x in [2 * 7**2 * 1_000_003 * 5**6, 12, F(5, 7 * 999_983**2)]:
+        c = class_of(x, 3)
+        factor_calls.clear()
+        bmu3_vector_height(c)
+        assert factor_calls == [abs(c.rep)], x
