@@ -8,15 +8,16 @@ work into blocks whose partial results are exact integers or hit lists,
 combined in a fixed order.  Workers are threads running closures, so a
 call keeps no module-level state and concurrent calls do not interfere.
 
-Every arithmetic table (Moebius, squarefree flags, totients, prime
-divisors, power-free parts) is built in the "sieve tables" section from
-one prime list, _primes_upto, by strided numpy walks over the multiples
-of each prime.  The heavy enumeration (football222: pairs with three
-squarefree-part constraints) needs sqf(a + b) only at near-squares.  A
-counted pair has b > (a + b)/2, so with a + b = u z^2 and u = sqf(a + b),
-u^2 z^2 = u (a + b) < 2 u b <= 2 sqf(a) sqf(b) u b <= 2T, and u z <=
-isqrt(2T).  Its segments of SEGMENT_SIZE values of a + b hold u at those
-values only, built from the squarefree u <= isqrt(2T) with no prime walk.
+Every arithmetic table (Moebius for the power-class and quadratic-field
+sums, squarefree flags, totients, prime divisors, power-free parts) is
+built in the "sieve tables" section from one prime list, _primes_upto, by
+strided numpy walks over the multiples of each prime.  The heavy
+enumeration (football222: pairs with three squarefree-part constraints)
+needs sqf(a + b) only at near-squares.  A counted pair has b > (a + b)/2,
+so with a + b = u z^2 and u = sqf(a + b), u^2 z^2 = u (a + b) < 2 u b <=
+2 sqf(a) sqf(b) u b <= 2T, and u z <= isqrt(2T).  Its segments of
+SEGMENT_SIZE values of a + b hold u at those values only, built from the
+squarefree u <= isqrt(2T) with no prime walk.
 
 Every count kernel takes one bound or a sequence of bounds.  A sequence is
 counted in one pass at its largest bound, with each table built once, and
@@ -241,8 +242,9 @@ def sieve_power_free_parts(
 # power classes and quadratic fields
 
 
-_BMUN_MAX_ROOT = 1 << 25  # Moebius table entries; about 26 bytes each
-_FIELDS_MAX_X = 1 << 30  # squarefree flags; one byte each
+_BMUN_MAX_ROOT = 1 << 25  # Moebius table entries; about 24 bytes each
+_BMUN_BLOCK = 1 << 18  # d per dot product; each int64 temporary is 2 MB
+_FIELDS_MAX_X = 1 << 30  # floor(X) cap, kept so the accepted domain is unchanged
 
 
 def count_bmun(n: int, B: Bounds) -> Counts:
@@ -251,8 +253,9 @@ def count_bmun(n: int, B: Bounds) -> Counts:
     These are the n-power-free representatives N with |N| <= B^n; both
     signs occur for even n, positive representatives only for odd n.  They
     are counted by Moebius inversion over d up to the n-th root of B^n,
-    which is floor(B).  floor(B) may be at most 2^25 (a table under 1 GB);
-    a larger bound raises ValueError before any table is built.
+    which is floor(B), as one dot product per block of d.  floor(B) may be
+    at most 2^25 (a table under 1 GB); a larger bound raises ValueError
+    before any table is built.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -270,10 +273,16 @@ def count_bmun(n: int, B: Bounds) -> Counts:
 
     def count_levels(levels: list[int]) -> list[int]:
         roots = [_iroot(X, n) for X in levels]
-        mu = _mobius_upto(roots[-1]).tolist()
+        mu = _mobius_upto(roots[-1])
         counts = []
         for X, root in zip(levels, roots):
-            c = sum(mu[d] * (X // d**n) for d in range(1, root + 1) if mu[d])
+            # int64 is exact below 2^62: every d^n <= X and the terms sum in
+            # absolute value to at most zeta(2) X < 2^63; above, Python ints
+            dtype = np.int64 if X < 1 << 62 else object
+            c = 0
+            for lo in range(1, root + 1, _BMUN_BLOCK):
+                d = np.arange(lo, min(lo + _BMUN_BLOCK, root + 1), dtype=dtype)
+                c += int(mu[lo : lo + len(d)] @ (X // d**n))
             counts.append(2 * c if n % 2 == 0 else c)
         return counts
 
@@ -284,31 +293,35 @@ def count_quadratic_fields(X: Bounds) -> Counts:
     """Quadratic fields with |discriminant| <= X.
 
     Counts squarefree d not in {0, 1}, with |d| <= X when d = 1 mod 4 and
-    4|d| <= X otherwise.  The squarefree flags run up to floor(X), which may
-    be at most 2^30 (a 1 GB table); a larger bound raises ValueError before
+    4|d| <= X otherwise, by Moebius inversion over odd k <= sqrt(X).
+    floor(X) may be at most 2^30; a larger bound raises ValueError before
     any table is built.
     """
 
     def level(x: Fraction) -> Optional[int]:
         if _floor(x) > _FIELDS_MAX_X:
             raise ValueError(
-                f"count_quadratic_fields builds squarefree flags up to floor(X), "
-                f"capped at 2^30 = {_FIELDS_MAX_X}; got X = {x}"
+                f"count_quadratic_fields accepts floor(X) up to 2^30 = "
+                f"{_FIELDS_MAX_X}; got X = {x}"
             )
         return _floor(x) if x >= 3 else None
 
     def count_levels(levels: list[int]) -> list[int]:
-        table = _squarefree_flags(levels[-1])
+        root = math.isqrt(levels[-1])
+        mu = _mobius_upto(root)[1::2]
+        k2 = np.arange(1, root + 1, 2, dtype=np.int64) ** 2
+
+        def S(r: int, M: int) -> int:
+            # squarefree e <= M, e = r mod 4 (r = 1, 2, 3): k^2 | e forces k odd,
+            # k^2 = 1 mod 8 keeps r, and a term with k^2 > M is (4 - r) // 4 = 0
+            return int(mu @ ((M // k2 + 4 - r) // 4))
+
         counts = []
         for top in levels:
-            flags, small = table[: top + 1], table[: top // 4 + 1]
-            # positive d: d = 1 mod 4 measured by |d|, the rest by 4|d|
-            total = int(flags[1::4].sum()) - 1  # exclude d = 1
-            total += int(small[2::4].sum()) + int(small[3::4].sum())
-            # negative d = -e: the discriminant is -e when e = 3 mod 4, else -4e
-            total += int(flags[3::4].sum())
-            total += int(small[1::4].sum()) + int(small[2::4].sum())
-            counts.append(total)
+            Y = top // 4
+            # d > 1: d = 1 mod 4 measured by |d|, the rest by 4|d|; d = -e < 0:
+            # the discriminant is -e when e = 3 mod 4, else -4e
+            counts.append(S(1, top) - 1 + S(2, Y) + S(3, Y) + S(3, top) + S(1, Y) + S(2, Y))
         return counts
 
     return _schedule(X, level, count_levels)
@@ -444,6 +457,20 @@ def _near_square_window(lo: int, hi: int, T: int) -> np.ndarray:
     return table
 
 
+def _f222_windows(lo: int, hi: int, rows):
+    """(live, ylo, counts): rows live have v = a + t y^2 in [lo, hi) for
+    counts values of y from ylo; each row's span y0..ymax is cut at lo, hi."""
+    a, t, _, y0, ymax, vlo, vhi = rows
+    sel = np.flatnonzero((vlo < hi) & (vhi >= lo))
+    ylo, yhi = y0[sel], ymax[sel]
+    cut = np.flatnonzero(vlo[sel] < lo)  # least y with a + t y^2 >= lo
+    ylo[cut] = _isqrt_vec((lo - 1 - a[sel[cut]]) // t[sel[cut]]) + 1
+    cut = np.flatnonzero(vhi[sel] >= hi)  # largest y with a + t y^2 < hi
+    yhi[cut] = _isqrt_vec((hi - 1 - a[sel[cut]]) // t[sel[cut]])
+    live = np.flatnonzero(yhi >= ylo)
+    return sel[live], ylo[live], (yhi - ylo + 1)[live]
+
+
 def _f222_segment_count(lo: int, hi: int, levels: np.ndarray, rows) -> np.ndarray:
     """Counted points with b > a and v = a + b in [lo, hi), by level.
 
@@ -452,37 +479,26 @@ def _f222_segment_count(lo: int, hi: int, levels: np.ndarray, rows) -> np.ndarra
     (levels[i - 1], levels[i]].  Each row walks only y with t y^2 > a, so
     max(a, b) is b.
     """
-    rows_a, rows_t, rows_st, rows_ymax = rows
+    rows_a, rows_t, rows_st = rows[:3]
     T = int(levels[-1])
     hist = np.zeros(len(levels), dtype=np.int64)
+    # the windows come first, so their temporaries are freed before the table
+    live, ylo, counts = _f222_windows(lo, hi, rows)
     near = _near_square_window(lo, hi, T)
     is_near = near != 0  # one byte a value: the candidate gather reads less memory
 
-    # y-window of each row with b = t y^2 > a and v = a + b in [lo, hi)
-    zlo = np.maximum(lo - rows_a, 1)
-    zlo = (zlo + rows_t - 1) // rows_t
-    # y >= ceil sqrt(zlo), and t y^2 > a exactly when y > isqrt(a // t)
-    ylo = np.maximum(_isqrt_vec(zlo - 1), _isqrt_vec(rows_a // rows_t)) + 1
-    zhi = (hi - 1 - rows_a) // rows_t
-    yhi = np.where(zhi >= 1, _isqrt_vec(np.maximum(zhi, 0)), 0)
-    yhi = np.minimum(yhi, rows_ymax)
-    counts = np.maximum(yhi - ylo + 1, 0)
-    live = np.nonzero(counts)[0]
-    if len(live) == 0:
-        return hist
-
-    cum = np.cumsum(counts[live])
+    cum = np.cumsum(counts)
     start = 0
     while start < len(live):
         base = int(cum[start - 1]) if start > 0 else 0
         end = int(np.searchsorted(cum, base + _F222_CHUNK, side="right"))
         end = min(max(end, start + 1), len(live))
         rows = live[start:end]
-        reps = counts[rows]
+        reps = counts[start:end]
         ends = np.cumsum(reps)
         # y runs from ylo upward within each row; v - lo = a - lo + t y^2
         v = np.arange(int(ends[-1]), dtype=np.int64)
-        v += np.repeat(ylo[rows] - (ends - reps), reps)
+        v += np.repeat(ylo[start:end] - (ends - reps), reps)
         v *= v
         v *= np.repeat(rows_t[rows], reps)
         v += np.repeat(rows_a[rows] - lo, reps)
@@ -523,7 +539,11 @@ def count_football222(B: Bounds, threads: int = 1) -> Counts:
     def count_levels(levels: list[int]) -> list[int]:
         T = levels[-1]
         seg_size = min(SEGMENT_SIZE, 2 * T)
-        rows = _f222_rows(T)
+        a, t, st, ymax = _f222_rows(T)
+        y0 = _isqrt_vec(a // t) + 1  # the least y with t y^2 > a
+        keep = y0 <= ymax
+        a, t, st, y0, ymax = a[keep], t[keep], st[keep], y0[keep], ymax[keep]
+        rows = (a, t, st, y0, ymax, a + t * y0 * y0, a + t * ymax * ymax)
         levels_arr = np.array(levels, dtype=np.int64)
 
         def segment(lo: int) -> np.ndarray:

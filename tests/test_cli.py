@@ -267,7 +267,7 @@ def test_count_bmun_cap_exits_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "family, kernel, builder, b0, cap",
     [
-        ("quadratic-fields", "count_quadratic_fields", "_squarefree_flags", "10000000000", "2^30"),
+        ("quadratic-fields", "count_quadratic_fields", "_mobius_upto", "10000000000", "2^30"),
         ("rooted3", "count_rooted3_at_0", "sieve_power_free_parts", "100000000000", "2^25"),
     ],
 )

@@ -124,13 +124,21 @@ def test_iroot_exact_at_every_size():
         assert r**k <= n < (r + 1) ** k, (n, k)
 
 
-@pytest.mark.parametrize("n, B", [(200, 50), (50, 30), (64, F(7, 2))])
+@pytest.mark.parametrize(
+    "n, B",
+    # (4, 46340) to (5, 5405) put B^n just below and just above 2^62, the
+    # last two just below and just above 2^63
+    [
+        (200, 50), (50, 30), (64, F(7, 2)),
+        (4, 46340), (4, 46341), (5, 5404), (5, 5405), (4, 55108), (4, 55109),
+    ],
+)
 def test_count_bmun_large_n_matches_moebius_sum(n, B):
     # the n-th root of B^n is about B, whatever the size of B^n
     X = int(F(B) ** n)
     root = int(F(B))
     c = sum(_mobius(d) * (X // d**n) for d in range(1, root + 1))
-    assert count_bmun(n, B) == 2 * c
+    assert count_bmun(n, B) == (2 * c if n % 2 == 0 else c)
 
 
 def test_count_pinned_values():
@@ -139,6 +147,9 @@ def test_count_pinned_values():
     assert count_bmun(3, 10**4) == 831_907_372_522
     assert count_bmun(3, 10**5) == 831_907_372_580_692
     assert count_football222(1200) == 21_869
+    assert count_quadratic_fields([10**7, 10**7 + 1, 10**7 + 2, 10**7 + 3, 10**8]) == [
+        6_079_285, 6_079_286, 6_079_286, 6_079_287, 60_792_709
+    ]
 
 
 def test_count_bmun_examples():
@@ -522,7 +533,7 @@ def test_count_bmun_size_cap(monkeypatch):
 
 
 def test_count_quadratic_fields_size_cap(monkeypatch):
-    # the squarefree flags run up to floor(X); a stand-in table builder
+    # the Moebius table runs up to isqrt(floor(X)); a stand-in table builder
     # records its limit instead of allocating
     from stacky_heights import counting
 
@@ -532,7 +543,7 @@ def test_count_quadratic_fields_size_cap(monkeypatch):
         limits.append(limit)
         raise LookupError("stand-in table")
 
-    monkeypatch.setattr(counting, "_squarefree_flags", record)
+    monkeypatch.setattr(counting, "_mobius_upto", record)
     for X in (10**10, 2**30 + 1, [10, 2**30 + 1]):
         with pytest.raises(ValueError, match=r"count_quadratic_fields .*2\^30"):
             count_quadratic_fields(X)
@@ -540,7 +551,7 @@ def test_count_quadratic_fields_size_cap(monkeypatch):
     for X in (2**30, F(2**31 + 1, 2), [2**30 + F(1, 2), 7]):
         with pytest.raises(LookupError):
             count_quadratic_fields(X)
-    assert limits == [2**30] * 3
+    assert limits == [2**15] * 3
 
 
 def test_count_rooted3_size_cap(monkeypatch):
