@@ -383,7 +383,10 @@ def _save_checkpoint(path: Path, samples: dict[str, int]) -> None:
 def cmd_count(args) -> int:
     cfg = load_config(args)
     counter = FAMILIES[cfg.family]
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"cannot use {cfg.out} as the output directory: {e.strerror}") from e
     run_id = cfg.run_id()
     ckpt_path = cfg.out / f"{run_id}.checkpoint.json"
     done = _load_checkpoint(ckpt_path) if args.resume else {}
@@ -419,9 +422,12 @@ def cmd_count(args) -> int:
 
 def cmd_fit(args) -> int:
     path = Path(args.report)
-    if not path.exists():
-        raise UsageError(f"no report at {path}")
-    report = CountReport.from_json(json.loads(path.read_text()))
+    try:
+        report = CountReport.from_json(json.loads(path.read_text()))
+    except OSError as e:
+        raise UsageError(f"cannot read a report at {path}: {e.strerror}") from e
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise UsageError(f"{path} is not a count report") from e
     report.fit = fit_exponents(report)
     if args.update:
         path.write_text(json.dumps(report.to_json(), indent=2))

@@ -564,35 +564,36 @@ def count_football222(B: Bounds, threads: int = 1) -> Counts:
 # Y |b| < Y^2 + ac.  For complex roots M = max(a, |c|), and b^2 < 4ac gives
 # Y |b| < 2 Y sqrt(ac) <= Y^2 + ac.  So once a and |c| are below Y, the
 # forms with M < Y = p/q are exactly those with p q |b| < p^2 + a c q^2
-# (which also forces |b| < 2Y): each (a, c) contributes 2 bmax + 1 forms.
-# Since a |c| q^2 < p^2 the numerator lies in (0, 2 p^2), so int64 is exact
-# for p < 2^31.
+# (which also forces |b| < 2Y): each (a, c) contributes 2 bmax + 1 forms,
+# bmax = floor((p^2 - 1 + a c q^2) / (p q)).  With top = (p - 1) // q and
+# c = i - top, a row a is one floor sum over i <= 2 top, and its offset
+# p^2 - 1 - a q^2 top is at least 2 p - 2 >= 0 since a top q^2 <= (p - 1)^2.
 
-_QP_CELLS = 1 << 18  # (a, c) cells per block; each int64 temporary is 2 MB
-_QP_NUMERATOR_LIMIT = 1 << 31
+_QP_NUMERATOR_LIMIT = 1 << 31  # kept so the accepted domain is unchanged
 
 
-def _quadratic_bmax(p: int, q: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Largest |b| with M(a x^2 + b x + c) < p/q, elementwise.
-
-    Needs 1 <= a < p/q, |c| < p/q and p < 2^31 (int64 stays exact).
-    """
-    return (p * p - 1 + a * c * (q * q)) // (p * q)
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i < n} floor((a i + b) / m) for n, a, b >= 0 and m >= 1, by the
+    reciprocity of floor sums (Concrete Mathematics 3.5): O(log m) steps."""
+    total = 0
+    while True:
+        total += (a // m) * n * (n - 1) // 2 + (b // m) * n
+        a, b = a % m, b % m
+        y = a * n + b
+        if y < m:  # every term left is 0
+            return total
+        n, b, m, a = y // m, y % m, a, m  # by reciprocity, the same sum
 
 
 def _count_all_forms(p: int, q: int) -> int:
     """Forms a x^2 + b x + c (a >= 1, any b and c, reducible and imprimitive
-    included) with Mahler measure below p/q, walked in blocks of rows a."""
+    included) with Mahler measure below p/q, one floor sum per row a."""
     top = (p - 1) // q  # a and |c| are at most this
-    if top < 1:
-        return 0
-    c = np.arange(-top, top + 1, dtype=np.int64)
-    rows = max(1, _QP_CELLS // len(c))
-    total = 0
-    for lo in range(1, top + 1, rows):
-        a = np.arange(lo, min(lo + rows, top + 1), dtype=np.int64)[:, None]
-        total += int(_quadratic_bmax(p, q, a, c).sum())
-    return 2 * total + top * len(c)
+    rows = sum(
+        _floor_sum(2 * top + 1, p * q, a * q * q, p * p - 1 - a * q * q * top)
+        for a in range(1, top + 1)
+    )
+    return 2 * rows + top * (2 * top + 1)
 
 
 def _count_reducible(T2s: Sequence[int]) -> list[int]:
@@ -620,12 +621,12 @@ def count_quadratic_points(B: Bounds) -> Counts:
     Equals twice the number of primitive irreducible integer quadratics
     with positive leading coefficient and Mahler measure strictly below
     X = B^2 (each form carries a conjugate pair of points).  All forms with
-    M < X/d are counted in O((X/d)^2) closed-form cells, primitive ones
-    come from Moebius inversion over d (M(d f) = d M(f)), and the
-    reducible ones are counted as pairs of linear factors: O(B^4) in all.
+    M < X/d are counted with one floor sum per leading coefficient,
+    primitive ones come from Moebius inversion over d (M(d f) = d M(f)),
+    and the reducible ones are counted as pairs of linear factors.
 
-    X = num/den must have den <= 1000, and the count is exact in int64 for
-    num < 2^31 (B up to about 46 340); larger bounds raise ValueError.
+    X = num/den must have den <= 1000 and num < 2^31 (B up to about
+    46 340); other bounds raise ValueError.
     """
 
     def level(b: Fraction) -> Optional[Fraction]:
@@ -643,11 +644,11 @@ def count_quadratic_points(B: Bounds) -> Counts:
 
     def count_levels(levels: list[Fraction]) -> list[int]:
         T2s = [_strict_floor(X) for X in levels]  # M < X/d needs d <= T2
-        mu = _mobius_upto(T2s[-1])
+        mu = _mobius_upto(T2s[-1]).tolist()
         counts = []
         for X, T2, reducible in zip(levels, T2s, _count_reducible(T2s)):
             primitive = sum(
-                int(mu[d]) * _count_all_forms(X.numerator, X.denominator * d)
+                mu[d] * _count_all_forms(X.numerator, X.denominator * d)
                 for d in range(1, T2 + 1)
                 if mu[d]
             )

@@ -404,6 +404,40 @@ def test_count_json_roundtrip_through_fit(tmp_path, capsys):
     assert saved["fit"] is not None
 
 
+def _fit_input(kind, tmp_path, capsys):
+    if kind == "directory":
+        return tmp_path
+    if kind == "checkpoint":
+        run(capsys, "count", "--family", "bmun", "--b0", "8", "--steps", "2", "--out", str(tmp_path))
+        return next(tmp_path.glob("*.checkpoint.json"))
+    path = tmp_path / "report.json"
+    path.write_text("[[8, 78], [16, 314]]" if kind == "json list" else "B,count\n8,78\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "checkpoint", "json list", "not json"])
+def test_fit_malformed_report_is_usage_error(tmp_path, capsys, kind):
+    path = _fit_input(kind, tmp_path, capsys)
+    code, out, err = run(capsys, "fit", "--report", str(path))
+    assert code == 2 and out == "" and err.startswith("error: "), err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_fit_too_few_samples_stays_domain_error(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"family": "bmun", "samples": [[8, 78], [16, 314]]}))
+    code, _, err = run(capsys, "fit", "--report", str(path))
+    assert code == 3 and "domain error" in err
+
+
+def test_count_out_is_a_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, out, err = run(capsys, "count", "--family", "bmun", "--b0", "8", "--out", str(path))
+    assert code == 2 and out == "" and err.startswith("error: "), err
+    assert len(err.splitlines()) == 1, err
+
+
 def test_search_subcommand(capsys):
     obj = run_json(capsys, "search", "--kind", "444", "--cutoff", "2000", "--delta", "0.3")
     assert obj["count"] == 1 and obj["hits"] == [[81, 1250]]

@@ -15,11 +15,11 @@ from stacky_heights.counting import (
     CountReport,
     _count_reducible,
     _f222_rows,
+    _floor_sum,
     _iroot,
     _mobius_upto,
     _near_square_window,
     _prime_divisors_from_5,
-    _quadratic_bmax,
     count_bmun,
     count_football222,
     count_quadratic_fields,
@@ -332,7 +332,8 @@ def test_count_quadratic_points_examples():
     assert count_quadratic_points(1) == 0
     assert count_quadratic_points(2) == 202
     assert count_quadratic_points(3) == 3414
-    # values of the O(B^6) box enumeration this counter replaced
+    # values of the O(B^6) box enumeration this counter replaced; B = 100
+    # and 150 from the (a, c) cell walk that preceded the floor sums
     pinned = {
         F(9, 2): 50_494,
         6: 282_630,
@@ -340,6 +341,8 @@ def test_count_quadratic_points_examples():
         F(81, 8): 6_953_470,
         12: 19_351_718,
         14: 49_062_114,
+        100: 6_651_388_984_550,
+        150: 75_787_263_659_690,
     }
     for B, n in pinned.items():
         assert count_quadratic_points(B) == n, B
@@ -358,18 +361,24 @@ def test_count_quadratic_points_matches_naive_property(B):
 
 def test_quadratic_b_range_is_symmetric_initial_segment():
     # the counter relies on this: for fixed (a, c) the passing b >= 0 are
-    # 0..bmax, M is even in b, and bmax is the closed form of the kernel
+    # 0..bmax, M is even in b, and the kernel's floor sum over a row a adds
+    # up bmax over every |c| <= top
     for Y in (F(3, 2), F(7, 3), F(11, 2), F(9), F(40, 3), F(21), F(30)):
+        p, q = Y.numerator, Y.denominator
+        top = (p - 1) // q  # the |c| < Y
         bs = range(2 * math.ceil(Y) + 3)  # M >= |b| / 2 rules out the rest
         for a in range(1, 30):
+            bmaxes = []
             for c in range(-40, 41):
                 ok = [mahler_measure_lt(a, b, c, Y) for b in bs]
                 assert ok == [mahler_measure_lt(a, -b, c, Y) for b in bs], (a, c, Y)
                 n = sum(ok)
                 assert ok == [True] * n + [False] * (len(ok) - n), (a, c, Y)
-                if a < Y and abs(c) < Y:
-                    bmax = _quadratic_bmax(Y.numerator, Y.denominator, np.int64(a), np.int64(c))
-                    assert bmax == n - 1, (a, c, Y)
+                if abs(c) <= top:
+                    bmaxes.append(n - 1)
+            if a < Y:
+                row = _floor_sum(2 * top + 1, p * q, a * q * q, p * p - 1 - a * q * q * top)
+                assert row == sum(bmaxes), (a, Y)
 
 
 def test_count_reducible_matches_bruteforce():
@@ -395,19 +404,32 @@ def test_count_quadratic_points_domain_limit():
     for B in (46341, F(46341, 31)):
         with pytest.raises(ValueError, match="count_quadratic_points"):
             count_quadratic_points(B)
-    # at the largest admissible numerator the int64 cells are still exact
+    # at the largest admissible numerator each cell is still the closed form
     p = (1 << 31) - 1
     for q in (1, 1000, 999 * 46337):
         top = (p - 1) // q
-        a = np.array([1, top], dtype=np.int64)[:, None]
-        c = np.array([-top, -1, 0, 1, top], dtype=np.int64)
-        got = _quadratic_bmax(p, q, a, c)
         Y = F(p, q)
-        for i, ai in enumerate((1, top)):
-            for j, cj in enumerate(c.tolist()):
-                # largest |b| with Y |b| < Y^2 + ac
-                want = math.ceil((Y * Y + ai * cj) / Y) - 1
-                assert int(got[i, j]) == want, (q, ai, cj)
+        for a in (1, top):
+            for c in (-top, -1, 0, 1, top):
+                # one-cell floor sum: largest |b| with Y |b| < Y^2 + ac
+                got = _floor_sum(1, p * q, 0, p * p - 1 + a * c * q * q)
+                assert got == math.ceil((Y * Y + a * c) / Y) - 1, (q, a, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    m=st.integers(1, 10**9),
+    a=st.integers(0, 10**12),
+    b=st.integers(0, 10**12),
+)
+@example(n=0, m=7, a=5, b=3)
+@example(n=40, m=7, a=0, b=3)
+@example(n=40, m=7, a=23, b=3)
+@example(n=40, m=7, a=5, b=30)
+@example(n=40, m=1, a=5, b=3)
+def test_floor_sum_matches_loop(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
 
 def test_count_quadratic_points_monotone():

@@ -1,8 +1,9 @@
-"""Two ast rules over src/.  Every import is used: a name bound by an import
+"""Three ast rules over src/.  Every import is used: a name bound by an import
 statement must be read somewhere in its module, or re-exported, through
 __all__ or as a package __init__ importing from its own submodules.  No
 function is memoized with functools.lru_cache or functools.cache, so no
-module holds process-wide state."""
+module holds process-wide state.  Every private module-level name is read
+somewhere in src/, so no helper lives on only for the tests."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,50 @@ def test_detector_flags_a_cache_decorator():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_cache_decorators(path):
     assert cache_decorated(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants (one leading
+    underscore) that no module reads, by bare name or as an attribute.  A
+    read inside the function or class that defines the name does not
+    count, so a helper kept alive only by tests or by its own recursion is
+    found."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [owner := stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                names = [stmt.target.id]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((name, f"{module}:{stmt.lineno}"))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    read.add(name)
+    return sorted(f"{name} ({where})" for name, where in defined if name not in read)
+
+
+def test_detector_flags_an_unread_private_name():
+    source = "_A = 1\ndef _f():\n    return _f()\ndef g():\n    return 2\n"
+    assert unread_private_names({"m": source}) == ["_A (m:1)", "_f (m:2)"]
+    assert unread_private_names({"m": "_A: int = 1\n", "n": "from .m import _A\nprint(_A)\n"}) == []
+    assert unread_private_names({"m": "def _f():\n    pass\n", "n": "import m\nm._f()\n"}) == []
+    assert unread_private_names({"m": "__all__ = []\n_B = _C = 2\nx = _C\n"}) == ["_B (m:2)"]
+
+
+def test_every_private_name_is_read_in_src():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
