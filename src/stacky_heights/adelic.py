@@ -23,6 +23,7 @@ power classes) hold exactly rather than up to a bounded function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -34,8 +35,24 @@ __all__ = ["ExactHeight", "HeightBreakdown", "height_from_sections", "combine"]
 Rational = Union[int, Fraction]
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction; only ints and Fractions (numbers.Rational) are exact."""
+    if isinstance(x, numbers.Rational):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
+
+
+def _merged(*maps: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """Sum of term maps: a first-seen coefficient is kept as is, zero sums dropped."""
+    out: dict[int, Fraction] = {}
+    for terms in maps:
+        for p, c in terms.items():
+            out[p] = out[p] + c if p in out else c
+    return {p: c for p, c in out.items() if c}
+
+
 class ExactHeight:
-    """Finite map prime -> rational coefficient; value = sum c_p * log p."""
+    """Finite map prime -> nonzero Fraction coefficient; value = sum c_p * log p."""
 
     __slots__ = ("_terms",)
 
@@ -43,10 +60,17 @@ class ExactHeight:
         clean: dict[int, Fraction] = {}
         if terms:
             for p, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                c = c if type(c) is Fraction else _rational(c)
+                if c:
                     clean[int(p)] = c
         self._terms = clean
+
+    @classmethod
+    def _of(cls, terms: dict[int, Fraction]) -> "ExactHeight":
+        """Wrap terms whose values are already nonzero Fractions, uncopied."""
+        h = cls.__new__(cls)
+        h._terms = terms
+        return h
 
     @staticmethod
     def zero() -> "ExactHeight":
@@ -55,13 +79,13 @@ class ExactHeight:
     @staticmethod
     def log_abs(x: Rational, scale: Rational = 1) -> "ExactHeight":
         """scale * log|x| expanded through the factorization of x (x != 0)."""
-        x = Fraction(x)
+        x = _rational(x)
         if x == 0:
             raise ValueError("log_abs of 0")
-        scale = Fraction(scale)
+        scale = _rational(scale)
         if scale == 0:
             return ExactHeight()
-        return ExactHeight({p: scale * e for p, e in _ord_map(x).items()})
+        return ExactHeight._of({p: scale * e for p, e in _ord_map(x).items()})
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -77,20 +101,17 @@ class ExactHeight:
         return not self._terms
 
     def __add__(self, other: "ExactHeight") -> "ExactHeight":
-        terms = dict(self._terms)
-        for p, c in other._terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c
-        return ExactHeight(terms)
+        return ExactHeight._of(_merged(self._terms, other._terms))
 
     def __sub__(self, other: "ExactHeight") -> "ExactHeight":
         return self + (-other)
 
     def __neg__(self) -> "ExactHeight":
-        return ExactHeight({p: -c for p, c in self._terms.items()})
+        return ExactHeight._of({p: -c for p, c in self._terms.items()})
 
     def __mul__(self, r: Rational) -> "ExactHeight":
-        r = Fraction(r)
-        return ExactHeight({p: c * r for p, c in self._terms.items()})
+        r = _rational(r)
+        return ExactHeight._of({p: c * r for p, c in self._terms.items()} if r else {})
 
     __rmul__ = __mul__
 
@@ -159,11 +180,10 @@ def combine(
     arise; a negative coefficient here indicates a caller bug.
     """
     clean = {int(p): d for p, d in discrepancies.items() if not d.is_zero()}
-    total = stable
     for p, d in clean.items():
-        if any(c < 0 for c in d.terms.values()):
+        if any(c < 0 for c in d._terms.values()):
             raise ValueError(f"negative discrepancy coefficient at prime {p}")
-        total = total + d
+    total = ExactHeight._of(_merged(stable._terms, *(d._terms for d in clean.values())))
     return HeightBreakdown(stable=stable, discrepancies=clean, total=total)
 
 
@@ -183,8 +203,8 @@ def _section_height(n: int, ord_maps: list[Mapping[int, int]], top: int) -> Exac
     terms: dict[int, Fraction] = {}
     for p in set().union(*ord_maps):
         m = min(om.get(p, 0) for om in ord_maps)
-        terms[p] = Fraction(ord_maps[top].get(p, 0), n) - (m // n)  # ceil(-m/n) = -(m // n)
-    return ExactHeight(terms)
+        terms[p] = Fraction(ord_maps[top].get(p, 0) - n * (m // n), n)  # ceil(-m/n) = -(m//n)
+    return ExactHeight._of({p: c for p, c in terms.items() if c})
 
 
 def height_from_sections(n: int, values: Iterable[Rational]) -> ExactHeight:
@@ -194,7 +214,7 @@ def height_from_sections(n: int, values: Iterable[Rational]) -> ExactHeight:
     trivialization; the result is invariant under multiplying all of them
     by lambda^n for any rational lambda != 0.  Each value is factored once.
     """
-    vals = [Fraction(v) for v in values]
+    vals = [_rational(v) for v in values]
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not vals:

@@ -3,14 +3,15 @@
 Everything here is deterministic and exact except mahler_measure_quadratic,
 which returns a float with relative error well below 1e-12.
 
-Factorization strategy: full trial division for small inputs, otherwise a
-small-prime strip followed by Brent-cycle Pollard rho with deterministic
-Miller-Rabin primality testing.  Before rho, a composite cofactor is tested
-for being a perfect power r^k with integer k-th roots: after the strip every
-prime factor exceeds 1000, so only prime k with 1000^k <= n can occur, and
-a hit factors r with the exponent multiplied by k.  So p^k costs a few roots
-where rho would take about sqrt(p) steps.  This comfortably covers 128-bit
-operands, which is far beyond anything the counting harness produces.
+Factorization strategy: the primes below 1000 dividing n come from trial
+division of g = gcd(n, their product) while p^2 <= g, and are stripped from
+n; then Brent-cycle Pollard rho with deterministic Miller-Rabin primality
+testing.  Before rho, a composite cofactor is tested for being a perfect
+power r^k with integer k-th roots: every prime factor now exceeds 1000, so
+only prime k with 1000^k <= n can occur, and a hit factors r with the
+exponent multiplied by k.  So p^k costs a few roots where rho would take
+about sqrt(p) steps.  This comfortably covers 128-bit operands, which is
+far beyond anything the counting harness produces.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "mahler_measure_lt",
 ]
 
-# Inputs below this are factored by trial division alone.
+# A cofactor below this left by the small-prime strip is prime (10^6 = 1000^2).
 _TRIAL_LIMIT = 10**6
 
 def _small_primes(bound: int) -> list[int]:
@@ -46,6 +47,7 @@ def _small_primes(bound: int) -> list[int]:
     return [i for i in range(2, bound + 1) if sieve[i]]
 
 _PRIMES_1K = _small_primes(1000)
+_PRIMORIAL_1K = math.prod(_PRIMES_1K)
 
 # Witnesses making Miller-Rabin deterministic for n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -151,9 +153,17 @@ def _factor_into(n: int, out: dict[int, int], mult: int = 1) -> None:
 def _factor_abs(n: int) -> tuple[tuple[int, int], ...]:
     """Factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
     out: dict[int, int] = {}
+    g = math.gcd(n, _PRIMORIAL_1K)  # the primes below 1000 dividing n, each once
+    small = []
     for p in _PRIMES_1K:
-        if p * p > n:
+        if p * p > g:
             break
+        if g % p == 0:
+            small.append(p)
+            g //= p
+    if g > 1:  # g has no prime factor up to its square root, so it is prime
+        small.append(g)
+    for p in small:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

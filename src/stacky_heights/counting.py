@@ -570,6 +570,7 @@ def count_football222(B: Bounds, threads: int = 1) -> Counts:
 # p^2 - 1 - a q^2 top is at least 2 p - 2 >= 0 since a top q^2 <= (p - 1)^2.
 
 _QP_NUMERATOR_LIMIT = 1 << 31  # kept so the accepted domain is unchanged
+_QP_MAX_FLOOR = 1 << 23  # the tables take about 90 bytes per unit of floor(B^2)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -625,8 +626,8 @@ def count_quadratic_points(B: Bounds) -> Counts:
     primitive ones come from Moebius inversion over d (M(d f) = d M(f)),
     and the reducible ones are counted as pairs of linear factors.
 
-    X = num/den must have den <= 1000 and num < 2^31 (B up to about
-    46 340); other bounds raise ValueError.
+    X = num/den must have den <= 1000, num < 2^31 and floor(X) <= 2^23 (B up
+    to about 2 896); other bounds raise ValueError before any table is built.
     """
 
     def level(b: Fraction) -> Optional[Fraction]:
@@ -637,9 +638,11 @@ def count_quadratic_points(B: Bounds) -> Counts:
             raise ValueError("the bound B^2 must have denominator at most 1000")
         if X.numerator >= _QP_NUMERATOR_LIMIT:
             raise ValueError(
-                "count_quadratic_points is exact only while the numerator of "
-                f"B^2 is below 2^31; got B^2 = {X}"
+                "count_quadratic_points keeps its accepted domain, the numerator "
+                f"of B^2 below 2^31; got B^2 = {X}"
             )
+        if _floor(X) > _QP_MAX_FLOOR:
+            raise ValueError(f"count_quadratic_points caps floor(B^2) at 2^23; got B^2 = {X}")
         return X if X > 1 else None  # else no d fits below
 
     def count_levels(levels: list[Fraction]) -> list[int]:

@@ -9,8 +9,9 @@ its height at a generic rational point (a : b), gcd(a, b) = 1, computed as
     discrepancy   sum over roots i and primes p of
                   fracplus(k * n_i / m_i) * log p,   k = ord_p L_i(a, b),
 
-with fracplus(q) = ceil(q) - q in [0, 1).  Points supported at a root are
-classes of Q*/(Q*)^{m_i} and are delegated to the classifying heights.
+with fracplus(q) = ceil(q) - q in [0, 1), and fracplus(x/m) = ((-x) mod m)/m
+for integers x, m as ceil(x/m) m - x = (-x) mod m.  Points supported at a
+root are classes of Q*/(Q*)^{m_i} and are delegated to the classifying heights.
 
 The expected deformation dimension (edd) is the reduced discriminant minus
 the height against the dual of the tangent divisor; on inputs where no
@@ -95,10 +96,9 @@ class StackDivisor:
     def degree(self, line: RootedLine) -> Fraction:
         if len(self.stacky) != len(line.roots):
             raise ValueError("stacky coefficients misaligned with roots")
-        return Fraction(self.generic) + sum(
-            (Fraction(n, m) for n, m in zip(self.stacky, line.orders)),
-            Fraction(0),
-        )
+        L = math.lcm(*line.orders)
+        num = self.generic * L + sum(n * (L // m) for n, m in zip(self.stacky, line.orders))
+        return Fraction(num, L)
 
     def __neg__(self) -> "StackDivisor":
         return StackDivisor(-self.generic, tuple(-n for n in self.stacky))
@@ -120,10 +120,6 @@ def _generic_point(line: RootedLine, point: Sequence[int]) -> tuple[tuple[int, i
     return (a, b), values
 
 
-def _fracplus(q: Fraction) -> Fraction:
-    return math.ceil(q) - q
-
-
 def generic_height(
     line: RootedLine, divisor: StackDivisor, point: Sequence[int]
 ) -> HeightBreakdown:
@@ -135,9 +131,9 @@ def generic_height(
     disc_terms: dict[int, Fraction] = {}
     for v, n, m in zip(values, divisor.stacky, line.orders):
         for p, k in factor(abs(v)).factors:
-            fp = _fracplus(Fraction(k * n, m))
-            if fp:
-                disc_terms[p] = disc_terms.get(p, Fraction(0)) + fp
+            if r := -k * n % m:  # fracplus(k n / m) = r / m
+                fp = Fraction(r, m)
+                disc_terms[p] = disc_terms[p] + fp if p in disc_terms else fp
     discrepancies = {p: ExactHeight({p: c}) for p, c in disc_terms.items()}
     return combine(stable, discrepancies)
 
@@ -201,7 +197,8 @@ def tangential_height(line: RootedLine, point: Sequence[int]) -> ExactHeight:
     terms: dict[int, Fraction] = {}
     for v, m in zip(values, line.orders):
         for p, r in power_free_exponents(v, m):
-            terms[p] = terms.get(p, Fraction(0)) + Fraction(r, m)
+            c = Fraction(r, m)
+            terms[p] = terms[p] + c if p in terms else c
     deg = tangent_divisor(line).degree(line)
     return ExactHeight.log_abs(max(abs(a), abs(b)), deg) + ExactHeight(terms)
 
@@ -214,9 +211,8 @@ def rdisc(line: RootedLine, point: Sequence[int]) -> ExactHeight:
     if several roots are stacky over it.
     """
     _, values = _generic_point(line, point)
-    return ExactHeight(
-        {p: 1 for v, m in zip(values, line.orders) for p, k in factor(v).factors if k % m}
-    )
+    stacky = (p for v, m in zip(values, line.orders) for p, k in factor(v).factors if k % m)
+    return ExactHeight(dict.fromkeys(stacky, Fraction(1)))
 
 
 def edd(line: RootedLine, point: Sequence[int]) -> ExactHeight:

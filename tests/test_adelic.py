@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -130,3 +132,115 @@ def test_breakdown_json_roundtrip():
     assert back.total == hb.total
     assert back.stable == hb.stable
     assert back.discrepancies == hb.discrepancies
+
+
+# Only ints and Fractions are exact: each entry point refuses a float, a
+# Decimal and a str with a TypeError naming the type.
+NOT_RATIONAL = [0.3, Decimal("0.3"), "3/10"]
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=lambda x: type(x).__name__)
+def test_constructor_rejects_non_rationals(bad):
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        ExactHeight({2: bad})
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=lambda x: type(x).__name__)
+def test_log_abs_rejects_non_rationals(bad):
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        ExactHeight.log_abs(bad)
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        ExactHeight.log_abs(12, bad)
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=lambda x: type(x).__name__)
+def test_scaling_rejects_non_rationals(bad):
+    h = ExactHeight({2: 1})
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        h * bad
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        bad * h
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=lambda x: type(x).__name__)
+def test_height_from_sections_rejects_non_rationals(bad):
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        height_from_sections(2, [bad, 3])
+
+
+# Canonical form: every stored coefficient is a nonzero Fraction, and the
+# arithmetic agrees with a Counter of Fractions summed here.
+POOL = [2, 3, 5, 7, 1_000_003]
+coefficients = st.one_of(
+    st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+)
+term_maps = st.dictionaries(st.sampled_from(POOL), coefficients, max_size=5)
+scales = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
+
+
+def reference(*scaled_maps):
+    total = Counter()
+    for terms, scale in scaled_maps:
+        for p, c in terms.items():
+            total[p] += F(c) * scale
+    return {p: c for p, c in total.items() if c != 0}
+
+
+def canonical(h):
+    terms = h.terms
+    assert all(type(c) is F and c != 0 for c in terms.values()), terms
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_maps, term_maps, st.sets(st.sampled_from(POOL)), scales)
+def test_arithmetic_keeps_canonical_form(a, b, flip, r):
+    # b also takes the negatives of some of a's coefficients, so sums cancel
+    b = {**b, **{p: -a[p] for p in flip if p in a}}
+    ha, hb = ExactHeight(a), ExactHeight(b)
+    assert canonical(ha) == reference((a, 1))
+    assert canonical(ha + hb) == reference((a, 1), (b, 1))
+    assert canonical(ha - hb) == reference((a, 1), (b, -1))
+    assert canonical(-ha) == reference((a, -1))
+    assert canonical(ha * r) == canonical(r * ha) == reference((a, r))
+    assert canonical(ha * 0) == canonical(ha * F(0)) == {}
+    assert canonical(ha + (-ha)) == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_maps, st.dictionaries(st.integers(0, 20), term_maps, max_size=4))
+def test_combine_keeps_canonical_form(a, discs):
+    # with the signs as drawn, the first discrepancy holding a negative
+    # coefficient is named; with absolute values the sum goes through
+    stable = ExactHeight(a)
+    negative = [k for k, m in discs.items() if any(c < 0 for c in m.values())]
+    if negative:
+        with pytest.raises(ValueError, match=f"at prime {negative[0]}$"):
+            combine(stable, {k: ExactHeight(m) for k, m in discs.items()})
+    discs = {k: {p: abs(c) for p, c in m.items()} for k, m in discs.items()}
+    hb = combine(stable, {k: ExactHeight(m) for k, m in discs.items()})
+    assert canonical(hb.total) == reference((a, 1), *((m, 1) for m in discs.values()))
+    assert hb.stable is stable
+    assert set(hb.discrepancies) == {k for k, m in discs.items() if reference((m, 1))}
+    for k, d in hb.discrepancies.items():
+        assert canonical(d) == reference((discs[k], 1))
+
+
+# Section values built from exponents over the pool, so each valuation is
+# known without factoring.
+section_values = st.tuples(
+    st.sampled_from([1, -1]),
+    st.dictionaries(st.sampled_from(POOL), st.integers(-4, 4), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(section_values, min_size=1, max_size=4))
+def test_height_from_sections_keeps_canonical_form(n, drawn):
+    values = [sign * math.prod(F(p) ** e for p, e in ords.items()) for sign, ords in drawn]
+    top = max(range(len(values)), key=lambda i: abs(values[i]))
+    want = {}
+    for p in POOL:
+        low = min(ords.get(p, 0) for _, ords in drawn)
+        want[p] = F(drawn[top][1].get(p, 0), n) + math.ceil(F(-low, n))
+    assert canonical(height_from_sections(n, values)) == reference((want, 1))

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stacky_heights.arith import (
@@ -39,6 +39,28 @@ def test_factor_examples():
     assert factor(12) == FactoredInt(1, ((2, 2), (3, 1)))
     assert factor(600851475143).factors == ((71, 1), (839, 1), (1471, 1), (6857, 1))
     assert factor(-600851475143).sign == -1
+
+
+# Primes on both sides of 1000, where the small-prime strip hands over to
+# the primality test and rho; n is built from exponents over this pool.
+BOUNDARY_POOL = (2, 3, 991, 997, 1009, 1013, 999983, 10**9 + 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=len(BOUNDARY_POOL), max_size=len(BOUNDARY_POOL)))
+@example([0, 0, 0, 0, 0, 0, 0, 0])  # 1
+@example([0, 0, 0, 2, 0, 0, 0, 0])  # 997^2
+@example([1, 0, 0, 1, 1, 0, 0, 0])  # 2 * 997 * 1009
+@example([0, 0, 0, 1, 2, 0, 0, 0])  # 997 * 1009^2
+def test_factor_across_the_1000_boundary(exponents):
+    n = math.prod(p**e for p, e in zip(BOUNDARY_POOL, exponents))
+    assert factor(n).factors == tuple((p, e) for p, e in zip(BOUNDARY_POOL, exponents) if e)
+
+
+def test_factor_product_of_all_primes_below_1000():
+    primes = [p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert factor(math.prod(primes)).factors == tuple((p, 1) for p in primes)
+    assert factor(math.prod(primes) * 1009).factors == tuple((p, 1) for p in primes + [1009])
 
 
 def test_factor_zero_rejected():

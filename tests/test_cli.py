@@ -269,6 +269,7 @@ def test_count_bmun_cap_exits_3(tmp_path, capsys, monkeypatch):
     [
         ("quadratic-fields", "count_quadratic_fields", "_mobius_upto", "10000000000", "2^30"),
         ("rooted3", "count_rooted3_at_0", "sieve_power_free_parts", "100000000000", "2^25"),
+        ("quadratic-points", "count_quadratic_points", "_mobius_upto", "2897", "2^23"),
     ],
 )
 def test_count_table_caps_exit_3(tmp_path, capsys, monkeypatch, family, kernel, builder, b0, cap):

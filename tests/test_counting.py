@@ -528,6 +528,8 @@ def test_schedule_domain_errors_come_before_any_work(monkeypatch):
         count_football222([2, 47453133, 5])
     with pytest.raises(ValueError, match="count_quadratic_points"):
         count_quadratic_points([2, 46341, 3])
+    with pytest.raises(ValueError, match=r"count_quadratic_points .*2\^23"):
+        count_quadratic_points([2, 2897, 3])
     with pytest.raises(ValueError, match="denominator"):
         count_quadratic_points([2, F(1, 1001)])
 
@@ -574,6 +576,29 @@ def test_count_quadratic_fields_size_cap(monkeypatch):
         with pytest.raises(LookupError):
             count_quadratic_fields(X)
     assert limits == [2**15] * 3
+
+
+def test_count_quadratic_points_size_cap(monkeypatch):
+    # the tables run up to the largest integer below B^2, and floor(B^2) may
+    # be at most 2^23: 2896^2 and (2896.3)^2 are below it, 2897^2 and
+    # (2896.4)^2 above; a stand-in Moebius table records its limit
+    from stacky_heights import counting
+
+    limits = []
+
+    def record(limit):
+        limits.append(limit)
+        raise LookupError("stand-in table")
+
+    monkeypatch.setattr(counting, "_mobius_upto", record)
+    for B in (2897, F(28964, 10), [10, 2897]):
+        with pytest.raises(ValueError, match=r"count_quadratic_points .*2\^23"):
+            count_quadratic_points(B)
+    assert limits == []
+    for B in (2896, F(28963, 10)):
+        with pytest.raises(LookupError):
+            count_quadratic_points(B)
+    assert limits == [2896**2 - 1, 28963**2 // 100]
 
 
 def test_count_rooted3_size_cap(monkeypatch):

@@ -1,9 +1,11 @@
-"""Three ast rules over src/.  Every import is used: a name bound by an import
+"""Four ast rules over src/.  Every import is used: a name bound by an import
 statement must be read somewhere in its module, or re-exported, through
 __all__ or as a package __init__ importing from its own submodules.  No
 function is memoized with functools.lru_cache or functools.cache, so no
 module holds process-wide state.  Every private module-level name is read
-somewhere in src/, so no helper lives on only for the tests."""
+somewhere in src/, so no helper lives on only for the tests.  ExactHeight's
+trusted constructor _of and its _terms map are used only in adelic.py, so
+every other module goes through the validating constructor."""
 
 import ast
 from pathlib import Path
@@ -122,3 +124,32 @@ def test_detector_flags_an_unread_private_name():
 def test_every_private_name_is_read_in_src():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def trusted_attribute_uses(sources: dict[str, str]) -> list[str]:
+    """Attribute references to ExactHeight._of or ._terms outside adelic.py:
+    _of skips the coefficient checks, and _terms is the unguarded map."""
+    found = []
+    for module, source in sources.items():
+        if module == "adelic.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr in ("_of", "_terms"):
+                found.append(f"{node.attr} ({module}:{node.lineno})")
+    return sorted(found)
+
+
+def test_detector_flags_a_trusted_attribute_outside_adelic():
+    inside = "h = ExactHeight._of({})\nt = h._terms\n"
+    outside = "t = h.terms\nh = ExactHeight._of({})\nif h._terms:\n    pass\n"
+    assert trusted_attribute_uses({"adelic.py": inside}) == []
+    assert trusted_attribute_uses({"football.py": outside}) == [
+        "_of (football.py:2)",
+        "_terms (football.py:3)",
+    ]
+    assert trusted_attribute_uses({"checks.py": "_terms = 1\nof = h.of\n"}) == []
+
+
+def test_trusted_constructor_stays_in_adelic():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert trusted_attribute_uses(sources) == []
