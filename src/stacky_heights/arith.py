@@ -6,12 +6,18 @@ which returns a float with relative error well below 1e-12.
 Factorization strategy: the primes below 1000 dividing n come from trial
 division of g = gcd(n, their product) while p^2 <= g, and are stripped from
 n; then Brent-cycle Pollard rho with deterministic Miller-Rabin primality
-testing.  Before rho, a composite cofactor is tested for being a perfect
-power r^k with integer k-th roots: every prime factor now exceeds 1000, so
-only prime k with 1000^k <= n can occur, and a hit factors r with the
-exponent multiplied by k.  So p^k costs a few roots where rho would take
-about sqrt(p) steps.  This comfortably covers 128-bit operands, which is
-far beyond anything the counting harness produces.
+testing, run once per cofactor.  Before rho, a composite cofactor is tested
+for being a perfect power r^k with integer k-th roots: every prime factor
+now exceeds 1000, so only prime k with 1000^k <= n can occur, and a hit
+factors r with the exponent multiplied by k.  So p^k costs a few roots
+where rho would take about sqrt(p) steps.
+
+Miller-Rabin uses the smallest witness set proven for the size of n: the
+first k primes decide every n below psi_k, the least strong pseudoprime to
+all of them (Jaeschke, Math. Comp. 61 (1993); Sorenson and Webster, Math.
+Comp. 86 (2017); OEIS A014233).  The primes 2..41 decide below
+psi_13 ~ 3.3e24.  Above it the test runs the primes to 37 and the odd
+numbers 41 to 99 as bases: a wrong answer is then not excluded by proof.
 """
 
 from __future__ import annotations
@@ -49,24 +55,34 @@ def _small_primes(bound: int) -> list[int]:
 _PRIMES_1K = _small_primes(1000)
 _PRIMORIAL_1K = math.prod(_PRIMES_1K)
 
-# Witnesses making Miller-Rabin deterministic for n < 3.317e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# (psi_k, the first k primes): those witnesses decide every n < psi_k.
+# psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so those tiers merge.
+_MR_TIERS = (
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
+# Above psi_13: the primes to 37 and the odd numbers 41..99, unproven.
+_MR_BEYOND = _MR_TIERS[-1][1][:-1] + tuple(range(41, 100, 2))
 
 
-def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic below 3.3e24; fixed extra witnesses above."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+def _miller_rabin(n: int) -> bool:
+    """Strong probable-prime test of odd n > 2 to the witnesses of its tier."""
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    witnesses = _MR_WITNESSES
-    if n >= _MR_DETERMINISTIC_BOUND:
-        witnesses = _MR_WITNESSES + tuple(41 + 2 * k for k in range(30))
+    for bound, witnesses in _MR_TIERS:
+        if n < bound:
+            break
+    else:
+        witnesses = _MR_BEYOND
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -78,6 +94,18 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by the primes to 37, then Miller-Rabin with the
+    witness tier of n: a proof below psi_13 ~ 3.3e24, and above it a test
+    with 42 fixed bases, not a proof (see the module docstring)."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    return _miller_rabin(n)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -115,7 +143,7 @@ def _brent_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 d = math.gcd(q, n)
                 k += m
             r <<= 1
@@ -124,18 +152,16 @@ def _brent_rho(n: int) -> int:
             d = 1
             while d == 1:
                 ys = (ys * ys + c) % n
-                d = math.gcd(abs(x - ys), n)
+                d = math.gcd(x - ys, n)
         if d != n:
             return d
         c += 1
 
 
 def _factor_into(n: int, out: dict[int, int], mult: int = 1) -> None:
-    """Add mult times the factorization of n to out; every prime factor of
-    n exceeds 1000, so n = r^k needs prime k with 1000^k <= n."""
-    if n == 1:
-        return
-    if is_prime(n):
+    """Add mult times the factorization of n > 1 to out; every prime factor
+    of n exceeds 1000, so n = r^k needs prime k with 1000^k <= n."""
+    if n < _TRIAL_LIMIT or _miller_rabin(n):
         out[n] = out.get(n, 0) + mult
         return
     for k in _PRIMES_1K:
@@ -152,7 +178,6 @@ def _factor_into(n: int, out: dict[int, int], mult: int = 1) -> None:
 
 def _factor_abs(n: int) -> tuple[tuple[int, int], ...]:
     """Factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
-    out: dict[int, int] = {}
     g = math.gcd(n, _PRIMORIAL_1K)  # the primes below 1000 dividing n, each once
     small = []
     for p in _PRIMES_1K:
@@ -163,16 +188,18 @@ def _factor_abs(n: int) -> tuple[tuple[int, int], ...]:
             g //= p
     if g > 1:  # g has no prime factor up to its square root, so it is prime
         small.append(g)
-    for p in small:
+    fs = []
+    for p in small:  # ascending, and below every prime of the cofactor
+        e = 0
         while n % p == 0:
-            out[p] = out.get(p, 0) + 1
             n //= p
+            e += 1
+        fs.append((p, e))
     if n > 1:
-        if n < _TRIAL_LIMIT or is_prime(n):
-            out[n] = out.get(n, 0) + 1
-        else:
-            _factor_into(n, out)
-    return tuple(sorted(out.items()))
+        out: dict[int, int] = {}
+        _factor_into(n, out)
+        fs += sorted(out.items())
+    return tuple(fs)
 
 
 @dataclass(frozen=True)
@@ -193,6 +220,14 @@ class FactoredInt:
                 raise ValueError("exponents must be >= 1")
             prev = p
 
+    @classmethod
+    def _from_sorted(cls, sign: int, factors: tuple[tuple[int, int], ...]) -> "FactoredInt":
+        """Wrap factors already known to be valid, unchecked."""
+        f = cls.__new__(cls)
+        object.__setattr__(f, "sign", sign)
+        object.__setattr__(f, "factors", factors)
+        return f
+
     def value(self) -> int:
         v = self.sign
         for p, e in self.factors:
@@ -207,7 +242,7 @@ def factor(n: int) -> FactoredInt:
     """Factor a nonzero integer; deterministic."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    return FactoredInt(1 if n > 0 else -1, _factor_abs(abs(n)))
+    return FactoredInt._from_sorted(1 if n > 0 else -1, _factor_abs(abs(n)))
 
 
 def ord_p(n: int, p: int) -> int:

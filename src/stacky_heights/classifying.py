@@ -16,12 +16,13 @@ non-identity element of a permutation group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .adelic import ExactHeight, _section_height
-from .arith import factor, fundamental_discriminant, power_free_part, power_free_reduce
+from .arith import factor, fundamental_discriminant, power_free_exponents
 
 __all__ = [
     "PowerClass",
@@ -39,10 +40,16 @@ Rational = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class PowerClass:
-    """A class of Q*/(Q*)^n by its n-power-free integer representative."""
+    """A class of Q*/(Q*)^n by its n-power-free integer representative.
+
+    factors is the factorization of |rep| as sorted (prime, exponent)
+    pairs.  class_of hands over the one it derived from x; a class built
+    directly as PowerClass(n, rep) factors rep.
+    """
 
     n: int
     rep: int
+    factors: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -51,33 +58,51 @@ class PowerClass:
             raise ValueError("representative must be nonzero")
         if self.n % 2 == 1 and self.rep < 0:
             raise ValueError("odd-n classes have positive representatives")
-        if any(e >= self.n for _, e in factor(self.rep).factors):
+        if "factors" not in self.__dict__:
+            object.__setattr__(self, "factors", factor(self.rep).factors)
+        if any(e >= self.n for _, e in self.factors):
             raise ValueError("representative must be n-power-free")
+
+    @classmethod
+    def _from_factors(cls, n: int, rep: int, factors: tuple[tuple[int, int], ...]) -> "PowerClass":
+        """The class of rep, validated from factors, which must be those of |rep|."""
+        c = cls.__new__(cls)
+        object.__setattr__(c, "factors", factors)
+        c.__init__(n, rep)
+        return c
 
 
 def class_of(x: Rational, n: int) -> PowerClass:
-    """The class of a nonzero rational modulo (Q*)^n."""
+    """The class of a nonzero rational modulo (Q*)^n.
+
+    The numerator's primes keep their exponents mod n, those of the
+    denominator take the complement; both come from the power-free rule,
+    each from one factorization, and are carried into the class.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no power class")
-    rep = abs(power_free_reduce(x.numerator, n)[0]) * power_free_part(x.denominator, n)
+    factors = [(p, n - r) for p, r in power_free_exponents(x.numerator, n)]
+    if x.denominator != 1:
+        factors = sorted(factors + power_free_exponents(x.denominator, n))
+    rep = math.prod(p**e for p, e in factors)
     if n % 2 == 0 and x < 0:
         rep = -rep
-    return PowerClass(n, rep)
+    return PowerClass._from_factors(n, rep, tuple(factors))
 
 
 def bmun_height(c: PowerClass, j: int) -> ExactHeight:
     """Height of the class against the j-th power of the standard character.
 
     Equals height_from_sections(n, [rep^j]), with the valuations j * ord_p(rep)
-    read from one factorization of rep, so rep^j is never built; for j = 1
-    this is (1/n) log |rep|.
+    read from the class's carried factorization, so rep^j is never built
+    and nothing is factored; for j = 1 this is (1/n) log |rep|.
     """
     if not 1 <= j <= c.n - 1:
         raise ValueError("j must satisfy 1 <= j <= n-1")
-    return _section_height(c.n, [{p: j * e for p, e in factor(c.rep).factors}], 0)
+    return _section_height(c.n, [{p: j * e for p, e in c.factors}], 0)
 
 
 def bmu3_vector_height(c: PowerClass) -> ExactHeight:
@@ -85,12 +110,12 @@ def bmu3_vector_height(c: PowerClass) -> ExactHeight:
 
     For |rep| = N * M^2 with N, M coprime squarefree this is exactly
     log N + log M, which is half the log discriminant of the pure cubic
-    field of rep away from the prime 3.  rep is factored once for both j.
+    field of rep away from the prime 3.  Both j read the carried
+    factorization of rep.
     """
     if c.n != 3:
         raise ValueError("requires a cube class (n = 3)")
-    fs = factor(c.rep).factors
-    h1, h2 = (_section_height(3, [{p: j * e for p, e in fs}], 0) for j in (1, 2))
+    h1, h2 = (_section_height(3, [{p: j * e for p, e in c.factors}], 0) for j in (1, 2))
     return h1 + h2
 
 

@@ -134,16 +134,18 @@ def _mobius_upto(limit: int) -> np.ndarray:
 
     Each prime p <= sqrt(limit) flips the sign of its multiples, zeroes
     those of p^2 and is divided out once; a squarefree d keeps at most one
-    prime above sqrt(limit), which is what remains of it.
+    prime above sqrt(limit), which is what remains of it.  mu is int8 and
+    the remainders int32, 5 bytes an entry, so limit must be below 2^31;
+    a dot product of mu with an int64 or object array keeps that dtype.
     """
-    mu = np.ones(limit + 1, dtype=np.int64)
+    mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    rem = np.arange(limit + 1, dtype=np.int64)
+    rem = np.arange(limit + 1, dtype=np.int32)
     for p in _primes_upto(math.isqrt(limit)).tolist():
         mu[::p] *= -1
         mu[:: p * p] = 0
         rem[::p] //= p
-    mu[rem > 1] *= -1
+    np.negative(mu, out=mu, where=rem > 1)
     return mu
 
 
@@ -242,7 +244,7 @@ def sieve_power_free_parts(
 # power classes and quadratic fields
 
 
-_BMUN_MAX_ROOT = 1 << 25  # Moebius table entries; about 24 bytes each
+_BMUN_MAX_ROOT = 1 << 25  # Moebius table entries; about 6 bytes each
 _BMUN_BLOCK = 1 << 18  # d per dot product; each int64 temporary is 2 MB
 _FIELDS_MAX_X = 1 << 30  # floor(X) cap, kept so the accepted domain is unchanged
 
@@ -254,7 +256,7 @@ def count_bmun(n: int, B: Bounds) -> Counts:
     signs occur for even n, positive representatives only for odd n.  They
     are counted by Moebius inversion over d up to the n-th root of B^n,
     which is floor(B), as one dot product per block of d.  floor(B) may be
-    at most 2^25 (a table under 1 GB); a larger bound raises ValueError
+    at most 2^25 (a table of about 200 MB); a larger bound raises ValueError
     before any table is built.
     """
     if n < 2:

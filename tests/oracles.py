@@ -13,6 +13,31 @@ from stacky_heights.arith import (
 )
 
 
+def trial_division(n):
+    """The factorization of |n| as sorted (prime, exponent) pairs, by plain
+    trial division up to the square root; shares no code with arith."""
+    n = abs(n)
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return sorted(out.items())
+
+
+def td_is_prime(n):
+    """Primality by trial division by 2 and the odd numbers to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
 def naive_bmun(n, B):
     X = int(F(B) ** n)
     c = sum(1 for N in range(1, X + 1) if all(e < n for _, e in factor(N).factors))

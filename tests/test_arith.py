@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,20 +18,7 @@ from stacky_heights.arith import (
     squarefree_part,
 )
 
-
-def trial_division(n):
-    """Independent oracle: plain trial division up to sqrt."""
-    n = abs(n)
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return sorted(out.items())
+from oracles import td_is_prime, trial_division
 
 
 def test_factor_examples():
@@ -103,6 +91,55 @@ def test_is_prime_deterministic_small():
     assert [n for n in range(2000) if is_prime(n)] == [n for n in range(2000) if sieve[n]]
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
+
+
+# The bound psi_k of each Miller-Rabin witness tier, the least strong
+# pseudoprime to the first k primes (OEIS A014233), with its prime factors.
+PSI_BOUNDS = [
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),  # psi_12
+    (3317044064679887385961981, (1287836182261, 2575672364521)),  # psi_13
+]
+
+
+@pytest.mark.parametrize("bound, primes", PSI_BOUNDS, ids=[str(b) for b, _ in PSI_BOUNDS])
+def test_tier_bounds_are_composite(bound, primes):
+    assert math.prod(primes) == bound and all(td_is_prime(p) for p in primes)
+    assert not is_prime(bound)
+    assert factor(bound).factors == tuple((p, 1) for p in primes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([b for b, _ in PSI_BOUNDS if b < 2**32]), st.integers(-5000, 5000))
+def test_is_prime_around_tier_bounds(bound, offset):
+    assert is_prime(bound + offset) == td_is_prime(bound + offset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_factor_products_of_primes_above_1000(data):
+    # n < 10^12 built from primes above 1000 (found by trial division), so
+    # its factorization is known by construction; a repeat gives a power
+    primes, n = [], 1
+    while 1009 * n < 10**12 and (not primes or data.draw(st.booleans())):
+        if primes and data.draw(st.booleans()):
+            p = primes[-1]
+        else:
+            p = data.draw(st.integers(1001, min(10**12 // n, 10**9)))
+            while not td_is_prime(p):
+                p += 1
+        if p * n >= 10**12:
+            break
+        primes.append(p)
+        n *= p
+    assert factor(n).factors == tuple(sorted(Counter(primes).items()))
 
 
 def test_ord_examples():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,8 @@ from stacky_heights.classifying import (
     malle_exponent,
     quadratic_height,
 )
+
+from oracles import trial_division
 
 
 def test_class_of_examples():
@@ -74,15 +77,82 @@ def test_bmun_height_matches_engine_on_rep_powers(n, x):
         assert bmun_height(c, j) == height_from_sections(n, [c.rep**j])
 
 
-def test_bmun_heights_factor_no_value_above_rep(factor_calls):
-    for x, n in [(7 * 1_000_003, 3), (-(5**3) * 999_983, 4), (2 * 3**4 * 1_000_033, 6)]:
+# (x, n): large primes above the 10^6 strip limit, fractions, both signs
+CLASS_CASES = [
+    (7 * 1_000_003, 3),
+    (-(5**3) * 999_983, 4),
+    (2 * 3**4 * 1_000_033, 6),
+    (2 * 7**2 * 1_000_003 * 5**6, 3),
+    (12, 3),
+    (F(5, 7 * 999_983**2), 3),
+    (F(-9, 1_000_003 * 8), 2),
+]
+
+
+def test_class_heights_factor_nothing_after_class_of(factor_calls):
+    for x, n in CLASS_CASES:
         c = class_of(x, n)
         factor_calls.clear()
         for j in range(1, n):
             bmun_height(c, j)
         if n == 3:
             bmu3_vector_height(c)
+        assert factor_calls == [], (x, n)
+
+
+def test_bmun_heights_factor_no_value_above_rep(factor_calls):
+    # a class built straight from rep factors rep alone; its heights factor nothing
+    for x, n in [(7 * 1_000_003, 3), (-(5**3) * 999_983, 4), (2 * 3**4 * 1_000_033, 6)]:
+        rep = class_of(x, n).rep
+        factor_calls.clear()
+        c = PowerClass(n, rep)
+        for j in range(1, n):
+            bmun_height(c, j)
+        if n == 3:
+            bmu3_vector_height(c)
         assert factor_calls and max(factor_calls) <= abs(c.rep)
+
+
+def test_bmu3_vector_height_factors_rep_once(factor_calls):
+    for x in [2 * 7**2 * 1_000_003 * 5**6, 12, F(5, 7 * 999_983**2)]:
+        rep = class_of(x, 3).rep
+        factor_calls.clear()
+        c = PowerClass(3, rep)
+        bmu3_vector_height(c)
+        assert factor_calls == [abs(c.rep)], x
+
+
+def test_class_of_factors_numerator_and_denominator_once(factor_calls):
+    for x, n in CLASS_CASES + [(1, 5), (-1, 2), (F(1, 4), 2)]:
+        x = F(x)
+        factor_calls.clear()
+        class_of(x, n)
+        expect = [abs(x.numerator)] + ([x.denominator] if x.denominator != 1 else [])
+        assert factor_calls == expect, (x, n)
+
+
+def test_power_class_built_directly_factors_rep(factor_calls):
+    c = PowerClass(3, 2 * 1_000_003**2)
+    assert factor_calls == [2 * 1_000_003**2]
+    assert c.factors == ((2, 1), (1_000_003, 2))
+    assert c == class_of(F(2, 1_000_003), 3) and hash(c) == hash(class_of(F(2, 1_000_003), 3))
+    assert repr(c) == "PowerClass(n=3, rep=2000012000018)"
+    with pytest.raises(ValueError):
+        PowerClass(2, 4)
+    with pytest.raises(TypeError):
+        PowerClass(2, 3, ((3, 1),))  # the factorization is not a constructor argument
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(2, 5),
+    st.integers(-(10**4), 10**4).filter(bool),
+    st.integers(1, 12),
+)
+def test_carried_factorization_matches_oracle(n, num, den):
+    c = class_of(F(num, den), n)
+    assert math.prod(p**e for p, e in c.factors) == abs(c.rep)
+    assert list(c.factors) == trial_division(c.rep)
 
 
 def test_bmu3_vector_height_examples():
@@ -197,11 +267,3 @@ def test_malle_exponent_conjugation_invariant():
             inv[s] = i
         conj = [tuple(sigma[pi[inv[i]]] for i in range(4)) for pi in base.elements]
         assert malle_exponent(PermGroup(4, conj)) == e
-
-
-def test_bmu3_vector_height_factors_rep_once(factor_calls):
-    for x in [2 * 7**2 * 1_000_003 * 5**6, 12, F(5, 7 * 999_983**2)]:
-        c = class_of(x, 3)
-        factor_calls.clear()
-        bmu3_vector_height(c)
-        assert factor_calls == [abs(c.rep)], x

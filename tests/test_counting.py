@@ -101,6 +101,19 @@ def test_mobius_upto_matches_factor():
         assert _mobius_upto(limit).tolist() == ref[: limit + 1], limit
 
 
+def test_mobius_upto_peak_memory():
+    import tracemalloc
+
+    limit = 1 << 20
+    tracemalloc.start()
+    try:
+        mu = _mobius_upto(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mu) == limit + 1 and peak <= 8 * limit, peak / limit
+
+
 def test_prime_divisors_from_5_matches_factor():
     table = _prime_divisors_from_5(5000)
     assert table[0] == []

@@ -3,9 +3,11 @@ statement must be read somewhere in its module, or re-exported, through
 __all__ or as a package __init__ importing from its own submodules.  No
 function is memoized with functools.lru_cache or functools.cache, so no
 module holds process-wide state.  Every private module-level name is read
-somewhere in src/, so no helper lives on only for the tests.  ExactHeight's
-trusted constructor _of and its _terms map are used only in adelic.py, so
-every other module goes through the validating constructor."""
+somewhere in src/, so no helper lives on only for the tests.  Each trusted
+construction path is used only in its home module (ExactHeight._of and its
+_terms map in adelic.py, FactoredInt._from_sorted in arith.py,
+PowerClass._from_factors in classifying.py), so every other module goes
+through the validating constructor."""
 
 import ast
 from pathlib import Path
@@ -126,15 +128,23 @@ def test_every_private_name_is_read_in_src():
     assert unread_private_names(sources) == []
 
 
+# Each unvalidated construction path, and the internals it writes, by
+# attribute name -> the one module allowed to reference it.
+TRUSTED_HOMES = {
+    "_of": "adelic.py",  # ExactHeight._of skips the coefficient checks
+    "_terms": "adelic.py",  # ExactHeight's unguarded map
+    "_from_sorted": "arith.py",  # FactoredInt without its ordering checks
+    "_from_factors": "classifying.py",  # PowerClass that trusts its factors
+}
+
+
 def trusted_attribute_uses(sources: dict[str, str]) -> list[str]:
-    """Attribute references to ExactHeight._of or ._terms outside adelic.py:
-    _of skips the coefficient checks, and _terms is the unguarded map."""
+    """Attribute references to a trusted construction path outside its home
+    module (TRUSTED_HOMES)."""
     found = []
     for module, source in sources.items():
-        if module == "adelic.py":
-            continue
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Attribute) and node.attr in ("_of", "_terms"):
+            if isinstance(node, ast.Attribute) and TRUSTED_HOMES.get(node.attr, module) != module:
                 found.append(f"{node.attr} ({module}:{node.lineno})")
     return sorted(found)
 
@@ -150,6 +160,23 @@ def test_detector_flags_a_trusted_attribute_outside_adelic():
     assert trusted_attribute_uses({"checks.py": "_terms = 1\nof = h.of\n"}) == []
 
 
+def test_detector_flags_each_trusted_path_outside_its_home():
+    arith = "f = FactoredInt._from_sorted(1, ())\n"
+    classifying = "c = PowerClass._from_factors(3, 2, ((2, 1),))\n"
+    assert trusted_attribute_uses({"arith.py": arith, "classifying.py": classifying}) == []
+    assert trusted_attribute_uses({"adelic.py": arith, "football.py": classifying}) == [
+        "_from_factors (football.py:1)",
+        "_from_sorted (adelic.py:1)",
+    ]
+    # the home of one path is no home for another
+    assert trusted_attribute_uses({"classifying.py": arith + "h = ExactHeight._of({})\n"}) == [
+        "_from_sorted (classifying.py:1)",
+        "_of (classifying.py:2)",
+    ]
+
+
 def test_trusted_constructor_stays_in_adelic():
+    """Every trusted path of TRUSTED_HOMES, ExactHeight._of among them,
+    stays in its home module."""
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert trusted_attribute_uses(sources) == []
