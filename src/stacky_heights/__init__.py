@@ -1,5 +1,10 @@
 """Exact heights of rational points on stacky curves over Q, with counting
-and search harnesses for their growth rates."""
+and search harnesses for their growth rates.
+
+Importing the package loads the height modules only.  The counting names
+(CountReport, count_*, fit_exponents, sieve_power_free_parts and
+vojta_search_*) are looked up in stacky_heights.counting on each access
+(PEP 562), so numpy is loaded only once something counts."""
 
 from .adelic import ExactHeight, HeightBreakdown, combine, height_from_sections
 from .arith import (
@@ -21,18 +26,6 @@ from .classifying import (
     index,
     malle_exponent,
     quadratic_height,
-)
-from .counting import (
-    CountReport,
-    count_bmun,
-    count_football222,
-    count_quadratic_fields,
-    count_quadratic_points,
-    count_rooted3_at_0,
-    fit_exponents,
-    sieve_power_free_parts,
-    vojta_search_444,
-    vojta_search_ap5,
 )
 from .football import (
     RootedLine,
@@ -59,3 +52,29 @@ from .wps import (
 )
 
 __version__ = "0.1.0"
+
+_COUNTING_NAMES = (
+    "CountReport",
+    "count_bmun",
+    "count_football222",
+    "count_quadratic_fields",
+    "count_quadratic_points",
+    "count_rooted3_at_0",
+    "fit_exponents",
+    "sieve_power_free_parts",
+    "vojta_search_444",
+    "vojta_search_ap5",
+)
+
+
+def __getattr__(name: str):
+    # Not stored in globals(): a patched counting.<name> stays visible here.
+    if name in _COUNTING_NAMES:
+        from . import counting
+
+        return getattr(counting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_COUNTING_NAMES])

@@ -14,6 +14,9 @@ in schedules are parsed as exact decimal fractions, so reruns are
 reproducible bit for bit.  `count` and `search` take their thread count
 from the --threads flag, else the STACKY_THREADS environment variable, else
 the config file (count only), else 1.
+
+The counting layer, and numpy with it, is imported only by the commands
+that count, fit, search or check; height and malle never load it.
 """
 
 from __future__ import annotations
@@ -30,19 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import checks
 from .classifying import PermGroup, class_of, bmun_height, malle_exponent, quadratic_height
-from .counting import (
-    CountReport,
-    count_bmun,
-    count_football222,
-    count_quadratic_fields,
-    count_quadratic_points,
-    count_rooted3_at_0,
-    fit_exponents,
-    vojta_search_444,
-    vojta_search_ap5,
-)
 from .football import RootedLine, StackDivisor, generic_height, tangent_divisor
 from .sympow import QuadraticPoint, abs_height, discrepancy, stable_sym_height, sym_height
 from .wps import WeightedPoint, elliptic_naive_height, height_Oj, hyperelliptic_height
@@ -297,14 +288,22 @@ class RunConfig:
         return buf.getvalue()
 
 
+def _counting():
+    """The counting module, imported on first use: it loads numpy, which
+    the height and malle commands never need."""
+    from . import counting
+
+    return counting
+
+
 # family -> counter(cfg, bounds): the counts of a list of bounds, in order,
 # from one kernel call
 FAMILIES = {
-    "bmun": lambda cfg, Bs: count_bmun(_int(cfg.params.get("n", 2), "n"), Bs),
-    "quadratic-fields": lambda cfg, Bs: count_quadratic_fields(Bs),
-    "football222": lambda cfg, Bs: count_football222(Bs, threads=cfg.threads),
-    "rooted3": lambda cfg, Bs: count_rooted3_at_0(Bs),
-    "quadratic-points": lambda cfg, Bs: count_quadratic_points(Bs),
+    "bmun": lambda cfg, Bs: _counting().count_bmun(_int(cfg.params.get("n", 2), "n"), Bs),
+    "quadratic-fields": lambda cfg, Bs: _counting().count_quadratic_fields(Bs),
+    "football222": lambda cfg, Bs: _counting().count_football222(Bs, threads=cfg.threads),
+    "rooted3": lambda cfg, Bs: _counting().count_rooted3_at_0(Bs),
+    "quadratic-points": lambda cfg, Bs: _counting().count_quadratic_points(Bs),
 }
 
 
@@ -381,6 +380,8 @@ def _save_checkpoint(path: Path, samples: dict[str, int]) -> None:
 
 
 def cmd_count(args) -> int:
+    from .counting import CountReport, fit_exponents
+
     cfg = load_config(args)
     counter = FAMILIES[cfg.family]
     try:
@@ -421,6 +422,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .counting import CountReport, fit_exponents
+
     path = Path(args.report)
     try:
         report = CountReport.from_json(json.loads(path.read_text()))
@@ -437,6 +440,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .counting import vojta_search_444, vojta_search_ap5
+
     threads = _thread_count(args.threads)
     if args.kind == "444":
         hits = vojta_search_444(args.cutoff, args.delta, threads=threads)
@@ -456,6 +461,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks
+
     results = checks.run_all(seed=args.seed, samples=args.samples)
     for r in results:
         print(r.line())

@@ -359,7 +359,7 @@ def test_count_config_with_legacy_seed_key(tmp_path, capsys):
 
 
 def test_threads_flag_beats_env_for_count_and_search(tmp_path, capsys, monkeypatch):
-    from stacky_heights import cli
+    from stacky_heights import counting
 
     # precedence is flag > STACKY_THREADS > config > 1 for both commands
     cfg = tmp_path / "run.cfg"
@@ -379,8 +379,9 @@ def test_threads_flag_beats_env_for_count_and_search(tmp_path, capsys, monkeypat
         return []
 
     monkeypatch.setenv("STACKY_THREADS", "2")
-    monkeypatch.setattr(cli, "vojta_search_444", fake_search)
-    monkeypatch.setattr(cli, "vojta_search_ap5", fake_search)
+    # the CLI resolves the search kernels from counting when it runs them
+    monkeypatch.setattr(counting, "vojta_search_444", fake_search)
+    monkeypatch.setattr(counting, "vojta_search_ap5", fake_search)
     for kind in ("444", "ap5"):
         run_json(capsys, "search", "--kind", kind, "--cutoff", "50", "--delta", "0.3", "--threads", "1")
         run_json(capsys, "search", "--kind", kind, "--cutoff", "50", "--delta", "0.3")

@@ -1,4 +1,4 @@
-"""Four ast rules over src/.  Every import is used: a name bound by an import
+"""Five ast rules over src/.  Every import is used: a name bound by an import
 statement must be read somewhere in its module, or re-exported, through
 __all__ or as a package __init__ importing from its own submodules.  No
 function is memoized with functools.lru_cache or functools.cache, so no
@@ -7,7 +7,9 @@ somewhere in src/, so no helper lives on only for the tests.  Each trusted
 construction path is used only in its home module (ExactHeight._of and its
 _terms map in adelic.py, FactoredInt._from_sorted in arith.py,
 PowerClass._from_factors in classifying.py), so every other module goes
-through the validating constructor."""
+through the validating constructor.  The height modules and the CLI import
+neither numpy nor the counting layer (counting, checks) when they are
+themselves imported, so a height query never loads numpy."""
 
 import ast
 from pathlib import Path
@@ -180,3 +182,63 @@ def test_trusted_constructor_stays_in_adelic():
     stays in its home module."""
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert trusted_attribute_uses(sources) == []
+
+
+# Modules a height query imports; the counting layer is loaded only by the
+# code that counts (inside functions, or through the package __getattr__).
+HEIGHT_MODULES = (
+    "__init__.py", "adelic.py", "arith.py", "classifying.py", "cli.py",
+    "football.py", "sympow.py", "wps.py",
+)
+COUNTING_LAYER = ("numpy", "stacky_heights.counting", "stacky_heights.checks")
+
+
+def import_time_counting_imports(source: str) -> list[str]:
+    """Imports of numpy, counting or checks that run when the module is
+    imported: those outside every function body.  Relative imports are
+    read as imports from the stacky_heights package."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                targets = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                base = ".".join(filter(None, ["stacky_heights" if child.level else "", child.module]))
+                targets = [base] + [f"{base}.{alias.name}" for alias in child.names]
+            else:
+                visit(child)
+                continue
+            for target in targets:
+                if any(target == m or target.startswith(m + ".") for m in COUNTING_LAYER):
+                    found.append(f"{target} (line {child.lineno})")
+                    break
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_detector_flags_a_counting_import_at_import_time():
+    assert import_time_counting_imports("import numpy as np\n") == ["numpy (line 1)"]
+    assert import_time_counting_imports("from .counting import count_bmun\n") == [
+        "stacky_heights.counting (line 1)"
+    ]
+    assert import_time_counting_imports("import os\nfrom . import checks\n") == [
+        "stacky_heights.checks (line 2)"
+    ]
+    assert import_time_counting_imports("class C:\n    from numpy import int64\n") == [
+        "numpy (line 2)"
+    ]
+    assert import_time_counting_imports("from stacky_heights import counting\n") == [
+        "stacky_heights.counting (line 1)"
+    ]
+    inside = "def f():\n    from .counting import count_bmun\n    import numpy\n"
+    assert import_time_counting_imports(inside) == []
+    assert import_time_counting_imports("from .arith import factor\nimport numbers\n") == []
+
+
+@pytest.mark.parametrize("name", HEIGHT_MODULES)
+def test_height_modules_import_no_counting_layer(name):
+    assert import_time_counting_imports((SRC / name).read_text()) == []
