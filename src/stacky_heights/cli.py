@@ -255,6 +255,12 @@ class RunConfig:
             raise UsageError("thread count must be >= 1")
         if self.format not in ("csv", "json", "plot"):
             raise UsageError(f"unknown format {self.format!r}")
+        try:  # the report stores float(B), so the bounds must stay distinct floats
+            floats = [float(b) for b in self.bounds()]
+        except OverflowError:
+            raise UsageError("schedule bounds must be below the largest float") from None
+        if any(x >= y for x, y in zip(floats, floats[1:])):
+            raise UsageError("schedule bounds collide as floats; use a larger ratio")
 
     def bounds(self) -> list[Fraction]:
         return [self.b0 * self.ratio**k for k in range(self.steps)]

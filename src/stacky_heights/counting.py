@@ -8,16 +8,17 @@ work into blocks whose partial results are exact integers or hit lists,
 combined in a fixed order.  Workers are threads running closures, so a
 call keeps no module-level state and concurrent calls do not interfere.
 
-Every arithmetic table (Moebius for the power-class and quadratic-field
-sums, squarefree flags, totients, prime divisors, power-free parts) is
+Every arithmetic table (totients, prime divisors, power-free parts) is
 built in the "sieve tables" section from one prime list, _primes_upto, by
-strided numpy walks over the multiples of each prime.  The heavy
+strided numpy walks over the multiples of each prime.  Moebius values and
+squarefree lists stream from one generator, _mobius_windows, a window at a
+time, so no count kernel holds mu over its whole range.  The heavy
 enumeration (football222: pairs with three squarefree-part constraints)
 needs sqf(a + b) only at near-squares.  A counted pair has b > (a + b)/2,
 so with a + b = u z^2 and u = sqf(a + b), u^2 z^2 = u (a + b) < 2 u b <=
 2 sqf(a) sqf(b) u b <= 2T, and u z <= isqrt(2T).  Its segments of
 SEGMENT_SIZE values of a + b hold u at those values only, built from the
-squarefree u <= isqrt(2T) with no prime walk.
+squarefree u <= isqrt(2T) with no prime walk over the segment.
 
 Every count kernel takes one bound or a sequence of bounds.  A sequence is
 counted in one pass at its largest bound, with each table built once, and
@@ -58,6 +59,7 @@ Counts = Union[int, list[int]]  # an int for one bound, a list for a schedule
 
 SEGMENT_SIZE = 1 << 24  # football222 segment: values v = a + b per window
 _SIEVE_WINDOW = 1 << 18  # sieve_power_free_parts window; temporaries ~2 MB
+_MU_WINDOW = 1 << 18  # _mobius_windows window; temporaries ~2 MB
 
 
 def _run_parallel(fn, tasks: Sequence, threads: int) -> list:
@@ -116,8 +118,8 @@ def _ragged_arange(lens: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# sieve tables: _primes_upto is the one prime source; every other table is
-# a strided numpy walk over the multiples of its primes
+# sieve tables: _primes_upto is the one prime source; every other table, and
+# each Moebius window, is a strided numpy walk over the multiples of its primes
 
 
 def _primes_upto(bound: int) -> np.ndarray:
@@ -129,32 +131,28 @@ def _primes_upto(bound: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-def _mobius_upto(limit: int) -> np.ndarray:
-    """mu[d] for 0 <= d <= limit (mu[0] = 0).
+def _mobius_windows(limit: int):
+    """Yield (d, mu(d)) for the squarefree d <= limit, one window of
+    _MU_WINDOW integers at a time: d ascending in int64, mu = +-1 in int8.
 
-    Each prime p <= sqrt(limit) flips the sign of its multiples, zeroes
-    those of p^2 and is divided out once; a squarefree d keeps at most one
-    prime above sqrt(limit), which is what remains of it.  mu is int8 and
-    the remainders int32, 5 bytes an entry, so limit must be below 2^31;
-    a dot product of mu with an int64 or object array keeps that dtype.
+    In a window each prime p <= sqrt(limit) multiplies its multiples by -p
+    and zeroes those of p^2.  A squarefree d is left with the product of its
+    primes up to sqrt(limit), signed by their parity; it has at most one
+    prime above that, present exactly where the product falls short of d.
+    Memory is the primes and one window, whatever the limit.
     """
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    rem = np.arange(limit + 1, dtype=np.int32)
-    for p in _primes_upto(math.isqrt(limit)).tolist():
-        mu[::p] *= -1
-        mu[:: p * p] = 0
-        rem[::p] //= p
-    np.negative(mu, out=mu, where=rem > 1)
-    return mu
-
-
-def _squarefree_flags(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[0] = False
-    for p in _primes_upto(math.isqrt(limit)).tolist():
-        flags[p * p :: p * p] = False
-    return flags
+    primes = _primes_upto(math.isqrt(limit)).tolist()
+    dtype = np.int32 if limit < 1 << 31 else np.int64  # |product| <= d
+    for lo in range(1, limit + 1, _MU_WINDOW):
+        signed = np.ones(min(_MU_WINDOW, limit + 1 - lo), dtype=dtype)
+        for p in primes:
+            signed[-lo % p :: p] *= -p
+            signed[-lo % (p * p) :: p * p] = 0
+        d = np.flatnonzero(signed)
+        signed, d = signed[d], d + lo
+        mu = np.sign(signed).astype(np.int8)
+        np.negative(mu, out=mu, where=np.abs(signed) < d)
+        yield d, mu
 
 
 def _totient_upto(limit: int) -> np.ndarray:
@@ -244,8 +242,7 @@ def sieve_power_free_parts(
 # power classes and quadratic fields
 
 
-_BMUN_MAX_ROOT = 1 << 25  # Moebius table entries; about 6 bytes each
-_BMUN_BLOCK = 1 << 18  # d per dot product; each int64 temporary is 2 MB
+_BMUN_MAX_ROOT = 1 << 25  # floor(B) cap, kept so the accepted domain is unchanged
 _FIELDS_MAX_X = 1 << 30  # floor(X) cap, kept so the accepted domain is unchanged
 
 
@@ -255,9 +252,9 @@ def count_bmun(n: int, B: Bounds) -> Counts:
     These are the n-power-free representatives N with |N| <= B^n; both
     signs occur for even n, positive representatives only for odd n.  They
     are counted by Moebius inversion over d up to the n-th root of B^n,
-    which is floor(B), as one dot product per block of d.  floor(B) may be
-    at most 2^25 (a table of about 200 MB); a larger bound raises ValueError
-    before any table is built.
+    which is floor(B), as one dot product per Moebius window and level.
+    floor(B) may be at most 2^25; a larger bound raises ValueError before
+    any work starts.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -268,25 +265,21 @@ def count_bmun(n: int, B: Bounds) -> Counts:
         # floor(b)^n <= floor(b^n) < (floor(b) + 1)^n: the root is floor(b)
         if _floor(b) > _BMUN_MAX_ROOT:
             raise ValueError(
-                f"count_bmun builds a Moebius table up to floor(B), capped at "
-                f"2^25 = {_BMUN_MAX_ROOT}; got B = {b}"
+                f"count_bmun accepts floor(B) up to 2^25 = {_BMUN_MAX_ROOT}; got B = {b}"
             )
         return _floor(b**n)
 
     def count_levels(levels: list[int]) -> list[int]:
         roots = [_iroot(X, n) for X in levels]
-        mu = _mobius_upto(roots[-1])
-        counts = []
-        for X, root in zip(levels, roots):
-            # int64 is exact below 2^62: every d^n <= X and the terms sum in
-            # absolute value to at most zeta(2) X < 2^63; above, Python ints
-            dtype = np.int64 if X < 1 << 62 else object
-            c = 0
-            for lo in range(1, root + 1, _BMUN_BLOCK):
-                d = np.arange(lo, min(lo + _BMUN_BLOCK, root + 1), dtype=dtype)
-                c += int(mu[lo : lo + len(d)] @ (X // d**n))
-            counts.append(2 * c if n % 2 == 0 else c)
-        return counts
+        # int64 is exact below 2^62: every d^n <= X and the terms sum in
+        # absolute value to at most zeta(2) X < 2^63; above, Python ints
+        dtype = np.int64 if levels[-1] < 1 << 62 else object
+        counts = [0] * len(levels)
+        for d, mu in _mobius_windows(roots[-1]):
+            dn = d.astype(dtype) ** n
+            for i, cut in enumerate(np.searchsorted(d, roots, side="right").tolist()):
+                counts[i] += int(mu[:cut] @ (levels[i] // dn[:cut]))
+        return [2 * c if n % 2 == 0 else c for c in counts]
 
     return _schedule(B, level, count_levels)
 
@@ -297,7 +290,7 @@ def count_quadratic_fields(X: Bounds) -> Counts:
     Counts squarefree d not in {0, 1}, with |d| <= X when d = 1 mod 4 and
     4|d| <= X otherwise, by Moebius inversion over odd k <= sqrt(X).
     floor(X) may be at most 2^30; a larger bound raises ValueError before
-    any table is built.
+    any work starts.
     """
 
     def level(x: Fraction) -> Optional[int]:
@@ -309,21 +302,20 @@ def count_quadratic_fields(X: Bounds) -> Counts:
         return _floor(x) if x >= 3 else None
 
     def count_levels(levels: list[int]) -> list[int]:
-        root = math.isqrt(levels[-1])
-        mu = _mobius_upto(root)[1::2]
-        k2 = np.arange(1, root + 1, 2, dtype=np.int64) ** 2
-
-        def S(r: int, M: int) -> int:
-            # squarefree e <= M, e = r mod 4 (r = 1, 2, 3): k^2 | e forces k odd,
-            # k^2 = 1 mod 8 keeps r, and a term with k^2 > M is (4 - r) // 4 = 0
-            return int(mu @ ((M // k2 + 4 - r) // 4))
-
-        counts = []
-        for top in levels:
-            Y = top // 4
-            # d > 1: d = 1 mod 4 measured by |d|, the rest by 4|d|; d = -e < 0:
-            # the discriminant is -e when e = 3 mod 4, else -4e
-            counts.append(S(1, top) - 1 + S(2, Y) + S(3, Y) + S(3, top) + S(1, Y) + S(2, Y))
+        counts = [-1] * len(levels)  # d = 1 is not a field
+        for k, mu in _mobius_windows(math.isqrt(levels[-1])):
+            odd = k % 2 == 1
+            mu, k2 = mu[odd], k[odd] ** 2
+            for i, cut in enumerate(np.searchsorted(k2, levels, side="right").tolist()):
+                top, Y = levels[i], levels[i] // 4
+                # #{squarefree e <= M, e = r mod 4} (r = 1, 2, 3) is the sum of mu(k)
+                # ((M // k^2 + 4 - r) // 4): k^2 | e forces k odd, k^2 = 1 mod 8 keeps r.
+                # d > 1: d = 1 mod 4 measured by |d|, the rest by 4|d|; d = -e < 0:
+                # the discriminant is -e when e = 3 mod 4, else -4e
+                counts[i] += sum(
+                    int(mu[:cut] @ ((M // k2[:cut] + 4 - r) // 4))
+                    for r, M in ((1, top), (2, Y), (3, Y), (3, top), (1, Y), (2, Y))
+                )
         return counts
 
     return _schedule(X, level, count_levels)
@@ -426,7 +418,7 @@ def _f222_rows(T: int):
     Rows run through s, then t, then x in increasing order.  Every pair
     kept has s^2 t <= T and s t^2 <= T, so xmax, ymax >= 1.
     """
-    sqfree = np.flatnonzero(_squarefree_flags(math.isqrt(T)))
+    sqfree = np.concatenate([s for s, _ in _mobius_windows(math.isqrt(T))])
     tcap = np.minimum(T // (sqfree * sqfree), _isqrt_vec(T // sqfree))
     ntc = np.searchsorted(sqfree, tcap, side="right")
     s = np.repeat(sqfree, ntc)
@@ -448,7 +440,7 @@ def _near_square_window(lo: int, hi: int, T: int) -> np.ndarray:
     values no pair counted at level T can have as a + b.
     """
     R = math.isqrt(2 * T)
-    u = np.flatnonzero(_squarefree_flags(R))
+    u = np.concatenate([u for u, _ in _mobius_windows(R)])
     zlo = _isqrt_vec((lo - 1) // u) + 1
     zhi = np.minimum(R // u, _isqrt_vec((hi - 1) // u))
     lens = np.maximum(zhi - zlo + 1, 0)
@@ -572,7 +564,7 @@ def count_football222(B: Bounds, threads: int = 1) -> Counts:
 # p^2 - 1 - a q^2 top is at least 2 p - 2 >= 0 since a top q^2 <= (p - 1)^2.
 
 _QP_NUMERATOR_LIMIT = 1 << 31  # kept so the accepted domain is unchanged
-_QP_MAX_FLOOR = 1 << 23  # the tables take about 90 bytes per unit of floor(B^2)
+_QP_MAX_FLOOR = 1 << 23  # the totient tables take about 90 bytes per unit of floor(B^2)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -649,16 +641,15 @@ def count_quadratic_points(B: Bounds) -> Counts:
 
     def count_levels(levels: list[Fraction]) -> list[int]:
         T2s = [_strict_floor(X) for X in levels]  # M < X/d needs d <= T2
-        mu = _mobius_upto(T2s[-1]).tolist()
-        counts = []
-        for X, T2, reducible in zip(levels, T2s, _count_reducible(T2s)):
-            primitive = sum(
-                mu[d] * _count_all_forms(X.numerator, X.denominator * d)
-                for d in range(1, T2 + 1)
-                if mu[d]
-            )
-            counts.append(2 * (primitive - reducible))
-        return counts
+        primitive = [0] * len(levels)
+        for d, mu in _mobius_windows(T2s[-1]):
+            cuts = np.searchsorted(d, T2s, side="right").tolist()
+            for i, X in enumerate(levels):
+                primitive[i] += sum(
+                    m * _count_all_forms(X.numerator, X.denominator * k)
+                    for k, m in zip(d[: cuts[i]].tolist(), mu[: cuts[i]].tolist())
+                )
+        return [2 * (p - r) for p, r in zip(primitive, _count_reducible(T2s))]
 
     return _schedule(B, level, count_levels)
 

@@ -253,9 +253,9 @@ def test_count_bmun_cap_exits_3(tmp_path, capsys, monkeypatch):
     from stacky_heights import counting
 
     def no_table(limit):
-        raise AssertionError("the Moebius table was built")
+        raise AssertionError("the Moebius windows were sieved")
 
-    monkeypatch.setattr(counting, "_mobius_upto", no_table)
+    monkeypatch.setattr(counting, "_mobius_windows", no_table)
     code, out, err = run(
         capsys, "count", "--family", "bmun", "--n", "2", "--b0", "1000000000",
         "--steps", "1", "--out", str(tmp_path),
@@ -267,9 +267,9 @@ def test_count_bmun_cap_exits_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "family, kernel, builder, b0, cap",
     [
-        ("quadratic-fields", "count_quadratic_fields", "_mobius_upto", "10000000000", "2^30"),
+        ("quadratic-fields", "count_quadratic_fields", "_mobius_windows", "10000000000", "2^30"),
         ("rooted3", "count_rooted3_at_0", "sieve_power_free_parts", "100000000000", "2^25"),
-        ("quadratic-points", "count_quadratic_points", "_mobius_upto", "2897", "2^23"),
+        ("quadratic-points", "count_quadratic_points", "_mobius_windows", "2897", "2^23"),
     ],
 )
 def test_count_table_caps_exit_3(tmp_path, capsys, monkeypatch, family, kernel, builder, b0, cap):
@@ -285,6 +285,34 @@ def test_count_table_caps_exit_3(tmp_path, capsys, monkeypatch, family, kernel, 
     )
     assert code == 3 and out == ""
     assert kernel in err and cap in err
+
+
+def test_count_schedule_colliding_as_floats_exits_2(tmp_path, capsys, monkeypatch):
+    # 10 (1 + 10^-16)^k are four rationals but one float, and the report
+    # stores float(B): the schedule is refused before any kernel call
+    from stacky_heights import cli
+
+    calls = []
+    counter = cli.FAMILIES["bmun"]
+
+    def recording(cfg, bounds):
+        calls.append(bounds)
+        return counter(cfg, bounds)
+
+    monkeypatch.setitem(cli.FAMILIES, "bmun", recording)
+    out = tmp_path / "out"
+    code, stdout, err = run(
+        capsys, "count", "--family", "bmun", "--n", "2", "--b0", "10",
+        "--ratio", "1.0000000000000001", "--steps", "4", "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and "collide as floats" in err
+    assert calls == []
+    assert not out.exists() or not any(out.iterdir())
+    code, _, err = run(
+        capsys, "count", "--family", "bmun", "--n", "2", "--b0", "1e400",
+        "--steps", "1", "--out", str(out),
+    )
+    assert code == 2 and "largest float" in err and calls == []
 
 
 def test_count_config_without_run_section(tmp_path, capsys):

@@ -17,7 +17,7 @@ from stacky_heights.counting import (
     _f222_rows,
     _floor_sum,
     _iroot,
-    _mobius_upto,
+    _mobius_windows,
     _near_square_window,
     _prime_divisors_from_5,
     count_bmun,
@@ -95,23 +95,67 @@ def _mobius(d):
     return 0 if any(e > 1 for _, e in fs) else (-1) ** len(fs)
 
 
-def test_mobius_upto_matches_factor():
-    ref = [0] + [_mobius(d) for d in range(1, 3001)]
+def _window_pairs(limit):
+    """(d, mu(d)) from every window, checking each window's shape."""
+    from stacky_heights import counting
+
+    pairs, windows = [], 0
+    for d, mu in _mobius_windows(limit):
+        assert d.dtype == np.int64 and mu.dtype == np.int8
+        lo = windows * counting._MU_WINDOW + 1
+        assert all(lo <= k < lo + counting._MU_WINDOW for k in d.tolist())
+        pairs += zip(d.tolist(), mu.tolist())
+        windows += 1
+    assert windows == -(-limit // counting._MU_WINDOW)
+    return pairs
+
+
+def test_mobius_windows_match_factor(monkeypatch):
+    from stacky_heights import counting
+
+    ref = [(d, _mobius(d)) for d in range(1, 3001) if _mobius(d)]
     for limit in range(3001):
-        assert _mobius_upto(limit).tolist() == ref[: limit + 1], limit
+        assert _window_pairs(limit) == [r for r in ref if r[0] <= limit], limit
+    for size in (1, 7):
+        monkeypatch.setattr(counting, "_MU_WINDOW", size)
+        for limit in (0, 1, 2, 63, 64, 65, 2999, 3000):
+            assert _window_pairs(limit) == [r for r in ref if r[0] <= limit], (size, limit)
 
 
-def test_mobius_upto_peak_memory():
+def test_mobius_windows_peak_memory():
+    # one window at a time: the peak does not grow with the limit
     import tracemalloc
 
-    limit = 1 << 20
-    tracemalloc.start()
-    try:
-        mu = _mobius_upto(limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(mu) == limit + 1 and peak <= 8 * limit, peak / limit
+    def peak(limit):
+        tracemalloc.start()
+        try:
+            for _ in _mobius_windows(limit):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1 << 20), peak(1 << 22)
+    assert large <= 1.1 * small, (small, large)
+
+
+def test_count_kernels_agree_across_window_sizes(monkeypatch):
+    from stacky_heights import counting
+
+    calls = [
+        (count_bmun, 2, [1, 10, 300, 1000]),
+        (count_bmun, 3, [F(7, 2), 50, 999]),
+        (count_bmun, 5, [7, 100, 5000]),  # int64: 5000^5 < 2^62
+        (count_bmun, 5, [7, 100, 5500]),  # Python ints: 5500^5 >= 2^62
+        (count_quadratic_fields, [3, 10, F(999, 2), 10**6]),
+        (count_quadratic_points, [F(3, 2), 2, 5, 11]),
+        (count_football222, [2, 10, 100, 300]),
+    ]
+    assert F(5500) ** 5 >= 2**62 > F(5000) ** 5
+    expected = [fn(*args) for fn, *args in calls]
+    for size in (1, 7):
+        monkeypatch.setattr(counting, "_MU_WINDOW", size)
+        assert [fn(*args) for fn, *args in calls] == expected, size
 
 
 def test_prime_divisors_from_5_matches_factor():
@@ -536,7 +580,7 @@ def test_schedule_domain_errors_come_before_any_work(monkeypatch):
         raise AssertionError("a table was built before the domain check")
 
     monkeypatch.setattr(counting, "_f222_rows", no_work)
-    monkeypatch.setattr(counting, "_mobius_upto", no_work)
+    monkeypatch.setattr(counting, "_mobius_windows", no_work)
     with pytest.raises(ValueError, match="count_football222"):
         count_football222([2, 47453133, 5])
     with pytest.raises(ValueError, match="count_quadratic_points"):
@@ -548,17 +592,17 @@ def test_schedule_domain_errors_come_before_any_work(monkeypatch):
 
 
 def test_count_bmun_size_cap(monkeypatch):
-    # floor(B) is the n-th root of B^n, and the Moebius table runs up to it;
-    # a stand-in table builder records its limit instead of allocating
+    # floor(B) is the n-th root of B^n, and the Moebius windows run up to it;
+    # a stand-in records its limit instead of sieving
     from stacky_heights import counting
 
     limits = []
 
     def record(limit):
         limits.append(limit)
-        raise LookupError("stand-in table")
+        raise LookupError("stand-in windows")
 
-    monkeypatch.setattr(counting, "_mobius_upto", record)
+    monkeypatch.setattr(counting, "_mobius_windows", record)
     for n, B in ((2, 10**9), (3, 2**25 + 1), (2, [10, 2**25 + 1])):
         with pytest.raises(ValueError, match=r"count_bmun .*2\^25"):
             count_bmun(n, B)
@@ -570,17 +614,17 @@ def test_count_bmun_size_cap(monkeypatch):
 
 
 def test_count_quadratic_fields_size_cap(monkeypatch):
-    # the Moebius table runs up to isqrt(floor(X)); a stand-in table builder
-    # records its limit instead of allocating
+    # the Moebius windows run up to isqrt(floor(X)); a stand-in records its
+    # limit instead of sieving
     from stacky_heights import counting
 
     limits = []
 
     def record(limit):
         limits.append(limit)
-        raise LookupError("stand-in table")
+        raise LookupError("stand-in windows")
 
-    monkeypatch.setattr(counting, "_mobius_upto", record)
+    monkeypatch.setattr(counting, "_mobius_windows", record)
     for X in (10**10, 2**30 + 1, [10, 2**30 + 1]):
         with pytest.raises(ValueError, match=r"count_quadratic_fields .*2\^30"):
             count_quadratic_fields(X)
@@ -594,16 +638,16 @@ def test_count_quadratic_fields_size_cap(monkeypatch):
 def test_count_quadratic_points_size_cap(monkeypatch):
     # the tables run up to the largest integer below B^2, and floor(B^2) may
     # be at most 2^23: 2896^2 and (2896.3)^2 are below it, 2897^2 and
-    # (2896.4)^2 above; a stand-in Moebius table records its limit
+    # (2896.4)^2 above; a stand-in for the Moebius windows records its limit
     from stacky_heights import counting
 
     limits = []
 
     def record(limit):
         limits.append(limit)
-        raise LookupError("stand-in table")
+        raise LookupError("stand-in windows")
 
-    monkeypatch.setattr(counting, "_mobius_upto", record)
+    monkeypatch.setattr(counting, "_mobius_windows", record)
     for B in (2897, F(28964, 10), [10, 2897]):
         with pytest.raises(ValueError, match=r"count_quadratic_points .*2\^23"):
             count_quadratic_points(B)
