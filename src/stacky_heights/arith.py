@@ -5,19 +5,21 @@ which returns a float with relative error well below 1e-12.
 
 Factorization strategy: the primes below 1000 dividing n come from trial
 division of g = gcd(n, their product) while p^2 <= g, and are stripped from
-n; then Brent-cycle Pollard rho with deterministic Miller-Rabin primality
-testing, run once per cofactor.  Before rho, a composite cofactor is tested
+n; then Brent-cycle Pollard rho with deterministic primality testing, run
+once per cofactor.  Before rho, a composite cofactor is tested
 for being a perfect power r^k with integer k-th roots: every prime factor
 now exceeds 1000, so only prime k with 1000^k <= n can occur, and a hit
 factors r with the exponent multiplied by k.  So p^k costs a few roots
 where rho would take about sqrt(p) steps.
 
-Miller-Rabin uses the smallest witness set proven for the size of n: the
-first k primes decide every n below psi_k, the least strong pseudoprime to
-all of them (Jaeschke, Math. Comp. 61 (1993); Sorenson and Webster, Math.
-Comp. 86 (2017); OEIS A014233).  The primes 2..41 decide below
-psi_13 ~ 3.3e24.  Above it the test runs the primes to 37 and the odd
-numbers 41 to 99 as bases: a wrong answer is then not excluded by proof.
+Below psi_13 ~ 3.3e24, Miller-Rabin uses the smallest witness set proven
+for the size of n: the first k primes decide every n below psi_k, the
+least strong pseudoprime to all of them (Jaeschke, Math. Comp. 61 (1993);
+Sorenson and Webster, Math. Comp. 86 (2017); OEIS A014233).  Above it the
+test is Baillie-PSW, a strong base-2 test and a strong Lucas test with
+Selfridge's parameters (Baillie and Wagstaff, Math. Comp. 35 (1980);
+Baillie, Fiori and Wagstaff, Math. Comp. 90 (2021)).  No composite is known
+to pass it, unlike any fixed set of bases, but that is not a proof.
 """
 
 from __future__ import annotations
@@ -69,20 +71,13 @@ _MR_TIERS = (
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
-# Above psi_13: the primes to 37 and the odd numbers 41..99, unproven.
-_MR_BEYOND = _MR_TIERS[-1][1][:-1] + tuple(range(41, 100, 2))
 
 
-def _miller_rabin(n: int) -> bool:
-    """Strong probable-prime test of odd n > 2 to the witnesses of its tier."""
+def _miller_rabin(n: int, witnesses) -> bool:
+    """Strong probable-prime test of odd n > 2 to each of the witnesses."""
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for bound, witnesses in _MR_TIERS:
-        if n < bound:
-            break
-    else:
-        witnesses = _MR_BEYOND
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -96,16 +91,71 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, it passes when U_d = 0 or
+    V_{d 2^r} = 0 mod n for some 0 <= r < s."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # (D/n) is never -1
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = 2 - D if D < 0 else -D - 2
+    if j == 0:  # D shares a factor with n
+        return n == abs(D)
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k, Q^k at k = 1, then k -> 2k (+ 1) by the bits of d
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":  # k -> k + 1: U = (U + V)/2, V = (D U + V)/2 mod odd n
+            U, V = U + V, D * U + V
+            U, V = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
+
+
+def _prime_test(n: int) -> bool:
+    """Primality of odd n > 2: Miller-Rabin to the witnesses of its tier, a
+    proof below psi_13, and above it Baillie-PSW (see the module docstring)."""
+    for bound, witnesses in _MR_TIERS:
+        if n < bound:
+            return _miller_rabin(n, witnesses)
+    return _miller_rabin(n, (2,)) and _strong_lucas(n)
+
+
 def is_prime(n: int) -> bool:
     """Trial division by the primes to 37, then Miller-Rabin with the
-    witness tier of n: a proof below psi_13 ~ 3.3e24, and above it a test
-    with 42 fixed bases, not a proof (see the module docstring)."""
+    witness tier of n: a proof below psi_13 ~ 3.3e24, and above it
+    Baillie-PSW, not a proof (see the module docstring)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    return _miller_rabin(n)
+    return _prime_test(n)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -161,7 +211,7 @@ def _brent_rho(n: int) -> int:
 def _factor_into(n: int, out: dict[int, int], mult: int = 1) -> None:
     """Add mult times the factorization of n > 1 to out; every prime factor
     of n exceeds 1000, so n = r^k needs prime k with 1000^k <= n."""
-    if n < _TRIAL_LIMIT or _miller_rabin(n):
+    if n < _TRIAL_LIMIT or _prime_test(n):
         out[n] = out.get(n, 0) + mult
         return
     for k in _PRIMES_1K:

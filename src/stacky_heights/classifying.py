@@ -115,8 +115,7 @@ def bmu3_vector_height(c: PowerClass) -> ExactHeight:
     """
     if c.n != 3:
         raise ValueError("requires a cube class (n = 3)")
-    h1, h2 = (_section_height(3, [{p: j * e for p, e in c.factors}], 0) for j in (1, 2))
-    return h1 + h2
+    return bmun_height(c, 1) + bmun_height(c, 2)
 
 
 def quadratic_height(d: int) -> ExactHeight:

@@ -4,16 +4,17 @@ the cross-validation check suite.
 Exit codes: 0 success, 2 argument/parse problems, 3 domain errors raised by
 the library (singular curve, zero input, and so on).
 
-Counting runs are configured by flags or an INI-style config file (flat
-key = value entries under [run], [schedule] and [params] sections); every
-run writes its resolved config next to its output, plus a checkpoint file
-keyed by family, parameters and bound so interrupted runs resume.  The
-bounds a checkpoint lacks are counted in one kernel call, and the
-checkpoint is written once that call returns.  Bounds
-in schedules are parsed as exact decimal fractions, so reruns are
-reproducible bit for bit.  `count` and `search` take their thread count
-from the --threads flag, else the STACKY_THREADS environment variable, else
-the config file (count only), else 1.
+A counting run takes each setting of SETTINGS, and each parameter its
+family declares in FAMILIES, from its flag, else (threads only) the
+STACKY_THREADS environment variable, else an INI config file, else the
+declared default.  The file is read literally (no % interpolation); a
+section, key or parameter that nothing declares, or a file configparser
+cannot parse, exits 2 before any counting.  Every run writes its resolved
+config next to its output, plus a checkpoint keyed by family, parameters
+and bound, so interrupted runs resume; the bounds a checkpoint lacks are
+counted in one kernel call.  Bounds are exact decimal fractions, so reruns
+are reproducible bit for bit.  `search` takes its thread count from the
+flag, else STACKY_THREADS, else 1.
 
 The counting layer, and numpy with it, is imported only by the commands
 that count, fit, search or check; height and malle never load it.
@@ -24,12 +25,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import io
 import json
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,18 +235,31 @@ def cmd_malle(args) -> int:
 # counting runs
 
 
+# The run settings, INI section -> key -> default: load_config reads them and
+# resolved_ini writes them back.  [params] holds what the family declares.
+SETTINGS = {
+    "run": {"family": None, "format": "csv", "threads": "1", "out": "."},
+    "schedule": {"b0": "10", "ratio": "2", "steps": "4"},
+}
+
+
 @dataclass
 class RunConfig:
     family: str
-    params: dict = field(default_factory=dict)
-    b0: Fraction = Fraction(10)
-    ratio: Fraction = Fraction(2)
-    steps: int = 4
-    format: str = "csv"
-    threads: int = 1
-    out: Path = Path(".")
+    params: dict
+    b0: Fraction
+    ratio: Fraction
+    steps: int
+    format: str
+    threads: int
+    out: Path
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            known = ", ".join(sorted(FAMILIES))
+            raise UsageError(f"need --family or [run] family, one of {known}; got {self.family!r}")
+        for name in self.params:
+            self.param(name)
         if self.steps < 1:
             raise UsageError("schedule needs at least one step")
         if self.ratio <= 1:
@@ -262,6 +277,13 @@ class RunConfig:
         if any(x >= y for x, y in zip(floats, floats[1:])):
             raise UsageError("schedule bounds collide as floats; use a larger ratio")
 
+    def param(self, name: str) -> int:
+        """A parameter the family declares, as given or else its default."""
+        declared = FAMILIES[self.family][1]
+        if name not in declared:
+            raise UsageError(f"family {self.family} takes no parameter {name!r}")
+        return _int(self.params.get(name, declared[name]), name)
+
     def bounds(self) -> list[Fraction]:
         return [self.b0 * self.ratio**k for k in range(self.steps)]
 
@@ -274,21 +296,9 @@ class RunConfig:
         return f"{self.family}-{digest}"
 
     def resolved_ini(self) -> str:
-        cp = configparser.ConfigParser()
-        cp["run"] = {
-            "family": self.family,
-            "format": self.format,
-            "threads": str(self.threads),
-            "out": str(self.out),
-        }
-        cp["schedule"] = {
-            "b0": str(self.b0),
-            "ratio": str(self.ratio),
-            "steps": str(self.steps),
-        }
-        cp["params"] = {k: str(v) for k, v in self.params.items()}
-        import io
-
+        cp = configparser.ConfigParser(interpolation=None)  # read_dict stores str(value)
+        cp.read_dict({s: {k: getattr(self, k) for k in keys} for s, keys in SETTINGS.items()})
+        cp["params"] = self.params
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -302,80 +312,69 @@ def _counting():
     return counting
 
 
-# family -> counter(cfg, bounds): the counts of a list of bounds, in order,
-# from one kernel call
+# family -> (counter(cfg, bounds): the counts of a list of bounds, in order,
+# from one kernel call; the integer parameters it reads by cfg.param -> default)
 FAMILIES = {
-    "bmun": lambda cfg, Bs: _counting().count_bmun(_int(cfg.params.get("n", 2), "n"), Bs),
-    "quadratic-fields": lambda cfg, Bs: _counting().count_quadratic_fields(Bs),
-    "football222": lambda cfg, Bs: _counting().count_football222(Bs, threads=cfg.threads),
-    "rooted3": lambda cfg, Bs: _counting().count_rooted3_at_0(Bs),
-    "quadratic-points": lambda cfg, Bs: _counting().count_quadratic_points(Bs),
+    "bmun": (lambda cfg, Bs: _counting().count_bmun(cfg.param("n"), Bs), {"n": 2}),
+    "quadratic-fields": (lambda cfg, Bs: _counting().count_quadratic_fields(Bs), {}),
+    "football222": (lambda cfg, Bs: _counting().count_football222(Bs, threads=cfg.threads), {}),
+    "rooted3": (lambda cfg, Bs: _counting().count_rooted3_at_0(Bs), {}),
+    "quadratic-points": (lambda cfg, Bs: _counting().count_quadratic_points(Bs), {}),
 }
 
 
-def _thread_count(flag, configured=None) -> int:
-    """Threads from the flag, else STACKY_THREADS, else the config, else 1."""
-    if flag is not None:
-        threads = flag
-    elif os.environ.get("STACKY_THREADS"):
-        threads = _int(os.environ["STACKY_THREADS"], "STACKY_THREADS")
-    else:
-        threads = configured if configured is not None else 1
-    if threads < 1:
+def _thread_count(flag, fallback) -> int:
+    """Threads from the flag, else STACKY_THREADS, else the fallback."""
+    env = os.environ.get("STACKY_THREADS")
+    if flag is None:
+        flag = _int(env, "STACKY_THREADS") if env else _int(fallback, "threads")
+    if flag < 1:
         raise UsageError("thread count must be >= 1")
-    return threads
+    return flag
+
+
+def _read_config(path: str) -> dict[str, dict[str, str]]:
+    """Section -> key -> text of a config file, read literally.  Only what
+    SETTINGS declares, [params] and the legacy [run] seed (dropped) pass."""
+    # no header names the default section "", so [DEFAULT] is just unknown
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        if not cp.read(path):
+            raise UsageError(f"cannot read config file {path}")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise UsageError(f"config file {path}: {e}") from e
+    conf = {section: dict(cp[section]) for section in cp.sections()}
+    conf.get("run", {}).pop("seed", None)  # count has no seed: no family is randomized
+    for section, keys in conf.items():
+        unknown = sorted(keys.keys() - SETTINGS.get(section, keys).keys())
+        if unknown or section not in SETTINGS and section != "params":
+            what = " ".join([f"[{section}]", *unknown])
+            raise UsageError(f"config file {path}: {what} is not a run setting")
+    return conf
 
 
 def load_config(args) -> RunConfig:
-    family = args.family
-    params: dict = {}
-    b0, ratio, steps = args.b0, args.ratio, args.steps
-    fmt = args.format
-    conf_threads = None
-    out = args.out
-    if args.config:
-        cp = configparser.ConfigParser()
-        read = cp.read(args.config)
-        if not read:
-            raise UsageError(f"cannot read config file {args.config}")
-        if "run" in cp:
-            run = cp["run"]
-            family = family or run.get("family")
-            fmt = fmt or run.get("format")
-            conf_threads = _int(run["threads"], "threads") if "threads" in run else None
-            out = out or run.get("out")
-        if "schedule" in cp:
-            sched = cp["schedule"]
-            b0 = b0 or sched.get("b0")
-            ratio = ratio or sched.get("ratio")
-            steps = steps if steps is not None else sched.get("steps")
-        if "params" in cp:
-            params.update(cp["params"])
+    conf = _read_config(args.config) if args.config else {}
+    value = {}
+    for section, keys in SETTINGS.items():
+        for key, default in keys.items():
+            flag = getattr(args, key)
+            value[key] = flag if flag is not None else conf.get(section, {}).get(key, default)
+    params = conf.get("params", {})
     if args.n is not None:
         params["n"] = args.n
-    if not family:
-        raise UsageError("no family given (flag --family or config [run] family)")
-    if family not in FAMILIES:
-        raise UsageError(f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}")
     return RunConfig(
-        family=family,
-        params=params,
-        b0=_rational(str(b0 if b0 is not None else 10)),
-        ratio=_rational(str(ratio if ratio is not None else 2)),
-        steps=_int(steps, "steps") if steps is not None else 4,
-        format=fmt or "csv",
-        threads=_thread_count(args.threads, conf_threads),
-        out=Path(out) if out else Path("."),
+        value["family"], params, _rational(value["b0"]), _rational(value["ratio"]),
+        _int(value["steps"], "steps"), value["format"],
+        _thread_count(args.threads, value["threads"]), Path(value["out"]),
     )
 
 
 def _load_checkpoint(path: Path) -> dict[str, int]:
-    if not path.exists():
-        return {}
     try:
         data = json.loads(path.read_text())
         return {str(k): int(v) for k, v in data.get("samples", {}).items()}
-    except (json.JSONDecodeError, AttributeError, ValueError):
+    except (OSError, AttributeError, ValueError):  # missing or not a checkpoint
         return {}
 
 
@@ -389,7 +388,7 @@ def cmd_count(args) -> int:
     from .counting import CountReport, fit_exponents
 
     cfg = load_config(args)
-    counter = FAMILIES[cfg.family]
+    counter = FAMILIES[cfg.family][0]
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -448,7 +447,7 @@ def cmd_fit(args) -> int:
 def cmd_search(args) -> int:
     from .counting import vojta_search_444, vojta_search_ap5
 
-    threads = _thread_count(args.threads)
+    threads = _thread_count(args.threads, 1)
     if args.kind == "444":
         hits = vojta_search_444(args.cutoff, args.delta, threads=threads)
     else:

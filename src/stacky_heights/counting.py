@@ -58,8 +58,7 @@ Bounds = Union[Real, Sequence[Real]]  # one bound, or a schedule of them
 Counts = Union[int, list[int]]  # an int for one bound, a list for a schedule
 
 SEGMENT_SIZE = 1 << 24  # football222 segment: values v = a + b per window
-_SIEVE_WINDOW = 1 << 18  # sieve_power_free_parts window; temporaries ~2 MB
-_MU_WINDOW = 1 << 18  # _mobius_windows window; temporaries ~2 MB
+_WINDOW = 1 << 18  # sieve_power_free_parts and _mobius_windows window; temporaries ~2 MB
 
 
 def _run_parallel(fn, tasks: Sequence, threads: int) -> list:
@@ -133,7 +132,7 @@ def _primes_upto(bound: int) -> np.ndarray:
 
 def _mobius_windows(limit: int):
     """Yield (d, mu(d)) for the squarefree d <= limit, one window of
-    _MU_WINDOW integers at a time: d ascending in int64, mu = +-1 in int8.
+    _WINDOW integers at a time: d ascending in int64, mu = +-1 in int8.
 
     In a window each prime p <= sqrt(limit) multiplies its multiples by -p
     and zeroes those of p^2.  A squarefree d is left with the product of its
@@ -143,8 +142,8 @@ def _mobius_windows(limit: int):
     """
     primes = _primes_upto(math.isqrt(limit)).tolist()
     dtype = np.int32 if limit < 1 << 31 else np.int64  # |product| <= d
-    for lo in range(1, limit + 1, _MU_WINDOW):
-        signed = np.ones(min(_MU_WINDOW, limit + 1 - lo), dtype=dtype)
+    for lo in range(1, limit + 1, _WINDOW):
+        signed = np.ones(min(_WINDOW, limit + 1 - lo), dtype=dtype)
         for p in primes:
             signed[-lo % p :: p] *= -p
             signed[-lo % (p * p) :: p * p] = 0
@@ -216,13 +215,11 @@ def _power_free_window(lo: int, hi: int, m: int, primes) -> np.ndarray:
     return res
 
 
-def sieve_power_free_parts(
-    limit: int, m: int, segment_size: int = _SIEVE_WINDOW
-) -> np.ndarray:
+def sieve_power_free_parts(limit: int, m: int) -> np.ndarray:
     """Array A with A[k] = power_free_part(k, m) for 1 <= k <= limit.
 
-    A[0] is 0.  Work proceeds in fixed-size segments so the temporaries
-    stay bounded; the output array itself is limit * 8 bytes.
+    A[0] is 0.  Work proceeds in windows of _WINDOW integers so the
+    temporaries stay bounded; the output array itself is limit * 8 bytes.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -232,8 +229,8 @@ def sieve_power_free_parts(
         raise ValueError("power-free parts would overflow 64-bit integers")
     out = np.zeros(limit + 1, dtype=np.int64)
     primes = _primes_upto(math.isqrt(limit))
-    for lo in range(1, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
+    for lo in range(1, limit + 1, _WINDOW):
+        hi = min(lo + _WINDOW, limit + 1)
         out[lo:hi] = _power_free_window(lo, hi, m, primes)
     return out
 

@@ -1,10 +1,10 @@
 """Heights on weighted projective stacks P(a_0, ..., a_k) over Q.
 
 A rational point is an integer tuple (M_0 : ... : M_k) up to the scaling
-(M_i) -> (lambda^{a_i} M_i).  In minimal form (no prime p with p^{a_i}
-dividing M_i for every i) the height against the tautological bundle is
-exactly log max_i |M_i|^{1/a_i}; the general case is delegated to the
-section engine, which also handles twists of the tautological bundle.
+(M_i) -> (lambda^{a_i} M_i).  Heights against O(1) and its twists come from
+the section engine, which that scaling does not move, so any representative
+will do; minimal_form (no p^{a_i} dividing every M_i) gives the canonical
+one, for callers that need it, where h_O(1) = log max_i |M_i|^{1/a_i}.
 
 Moduli interpretations: Weierstrass coefficients (A, B) of an elliptic
 curve live in P(4, 6); odd hyperelliptic models with a marked point at
@@ -88,13 +88,13 @@ def height_Oj(pt: WeightedPoint, j: int) -> ExactHeight:
     With A = lcm(weights), the monomials M_i^{jA/a_i} are pullbacks of
     generating sections of the A-th power of O(j); mixed monomials never
     change the min valuation or the max absolute value, so the pure powers
-    suffice.  Their valuations (jA/a_i) ord_p(M_i) come from one factorization
-    of each M_i, so no power is factored.  Heights against O(j) are not j
-    times the O(1) height.
+    suffice.  One factorization of each nonzero M_i gives their valuations
+    (jA/a_i) ord_p(M_i).  lambda scales every section by (lambda^j)^A, which
+    the engine ignores, so pt may be any representative.  Heights against
+    O(j) are not j times the O(1) height.
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
-    pt = minimal_form(pt.weights, pt.coords)
     A = math.lcm(*pt.weights)
     nz = [(m, a) for m, a in zip(pt.coords, pt.weights) if m != 0]
     ords = [{p: j * A // a * e for p, e in factor(m).factors} for m, a in nz]
@@ -106,7 +106,7 @@ def elliptic_naive_height(A: int, B: int) -> ExactHeight:
     """Naive height of y^2 = x^3 + Ax + B as the point (A : B) of P(4, 6)."""
     if 4 * A**3 + 27 * B**2 == 0:
         raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
-    return height_O1(minimal_form((4, 6), (A, B)))
+    return height_O1(WeightedPoint((4, 6), (A, B)))
 
 
 def hyperelliptic_height(coeffs) -> ExactHeight:
@@ -118,5 +118,4 @@ def hyperelliptic_height(coeffs) -> ExactHeight:
     coeffs = tuple(int(c) for c in coeffs)
     if len(coeffs) < 2:
         raise ValueError("need at least two coefficients (genus >= 1)")
-    weights = tuple(2 * i for i in range(2, len(coeffs) + 2))
-    return height_O1(minimal_form(weights, coeffs))
+    return height_O1(WeightedPoint(tuple(range(4, 2 * len(coeffs) + 3, 2)), coeffs))

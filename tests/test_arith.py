@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from stacky_heights.arith import (
     FactoredInt,
+    _miller_rabin,
+    _strong_lucas,
     factor,
     fundamental_discriminant,
     is_prime,
@@ -120,6 +122,79 @@ def test_tier_bounds_are_composite(bound, primes):
 @given(st.sampled_from([b for b, _ in PSI_BOUNDS if b < 2**32]), st.integers(-5000, 5000))
 def test_is_prime_around_tier_bounds(bound, offset):
     assert is_prime(bound + offset) == td_is_prime(bound + offset)
+
+
+# A composite built to pass fixed Miller-Rabin bases: each p_i = 3 mod 4
+# with (a/p_i) = -1 for a = 2 and every odd prime a < 100, so N is a strong
+# pseudoprime to every base below 100.  The product proves N composite;
+# factor(N) would need rho to find a 147-bit prime, about 2^73 steps.
+P1 = 90496850231252875860102296863636773599118283
+CONSTRUCTED = P1 * (101 * (P1 - 1) + 1) * (113 * (P1 - 1) + 1)
+
+
+def test_constructed_strong_pseudoprime_is_composite():
+    assert CONSTRUCTED > PSI_BOUNDS[-1][0] and CONSTRUCTED.bit_length() == 452
+    assert all(_miller_rabin(CONSTRUCTED, (a,)) for a in range(2, 100))
+    assert not is_prime(CONSTRUCTED)
+    with pytest.raises(ValueError, match="is not prime"):
+        ord_p(7 * CONSTRUCTED, CONSTRUCTED)
+    assert is_prime(P1)
+
+
+def _lucas_by_recurrence(n):
+    """The strong Lucas test of odd non-square n from its definition: D from
+    Euler's criterion on the primes of n, U_k and V_k step by step."""
+
+    def jacobi(a):
+        out = 1
+        for p, e in trial_division(n):
+            r = pow(a % p, (p - 1) // 2, p)
+            out *= (0 if r == 0 else 1 if r == 1 else -1) ** e
+        return out
+
+    D = next(d for k in range(2, n + 2) if jacobi(d := (-1) ** k * (2 * k + 1)) != 1)
+    if jacobi(D) == 0:
+        return n == abs(D)
+    Q = (1 - D) // 4
+    U, V = [0, 1], [2, 1]  # P = 1
+    for k in range(2, n + 2):
+        U.append((U[k - 1] - Q * U[k - 2]) % n)
+        V.append((V[k - 1] - Q * V[k - 2]) % n)
+    s = 0
+    while (n + 1) % 2 ** (s + 1) == 0:
+        s += 1
+    d = (n + 1) >> s
+    return U[d] % n == 0 or any(V[d << r] % n == 0 for r in range(s))
+
+
+def test_strong_lucas_matches_its_definition():
+    for n in range(3, 3000, 2):
+        if math.isqrt(n) ** 2 != n:
+            assert _strong_lucas(n) == _lucas_by_recurrence(n), n
+
+
+# strong Lucas pseudoprimes (OEIS A217255) and strong base-2 pseudoprimes
+# (OEIS A001262): each passes one half of Baillie-PSW and fails the other
+LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519)
+BASE2_PSEUDOPRIMES = (2047, 3277, 4033, 4681, 8321)
+
+
+def test_baillie_psw_rejects_pseudoprimes_of_either_half(monkeypatch):
+    import stacky_heights.arith as arith
+
+    assert all(_strong_lucas(n) for n in LUCAS_PSEUDOPRIMES)
+    assert all(_miller_rabin(n, (2,)) for n in BASE2_PSEUDOPRIMES)
+    # with no proven tier every n takes the Baillie-PSW branch
+    monkeypatch.setattr(arith, "_MR_TIERS", ())
+    for n in LUCAS_PSEUDOPRIMES + BASE2_PSEUDOPRIMES:
+        assert not td_is_prime(n) and not arith._prime_test(n), n
+    # squares of the Wieferich primes are strong base-2 pseudoprimes, and no
+    # Selfridge D exists for a square: the Lucas half rejects them first
+    for n in (1093**2, 3511**2):
+        assert _miller_rabin(n, (2,)) and not _strong_lucas(n) and not arith._prime_test(n)
+    assert [n for n in range(3, 5000, 2) if arith._prime_test(n)] == [
+        n for n in range(3, 5000, 2) if td_is_prime(n)
+    ]
 
 
 @settings(max_examples=200, deadline=None)

@@ -220,7 +220,7 @@ def test_count_resume_computes_missing_bounds_in_one_call(tmp_path, capsys, monk
     kept = {k: data["samples"][k] for k in ("9/2", "81/8")}
     (out / ckpt.name).write_text(json.dumps({"schema": data["schema"], "samples": kept}))
     calls = []
-    counter = cli.FAMILIES["football222"]
+    counter, params = cli.FAMILIES["football222"]
 
     def recording(cfg, Bs):
         calls.append(list(Bs))
@@ -233,7 +233,7 @@ def test_count_resume_computes_missing_bounds_in_one_call(tmp_path, capsys, monk
         saves.append(dict(samples))
         save(path, samples)
 
-    monkeypatch.setitem(cli.FAMILIES, "football222", recording)
+    monkeypatch.setitem(cli.FAMILIES, "football222", (recording, params))
     monkeypatch.setattr(cli, "_save_checkpoint", recording_save)
     args[-1] = str(out)
     code, resumed, err = run(capsys, *args, "--resume")
@@ -293,13 +293,13 @@ def test_count_schedule_colliding_as_floats_exits_2(tmp_path, capsys, monkeypatc
     from stacky_heights import cli
 
     calls = []
-    counter = cli.FAMILIES["bmun"]
+    counter, params = cli.FAMILIES["bmun"]
 
     def recording(cfg, bounds):
         calls.append(bounds)
         return counter(cfg, bounds)
 
-    monkeypatch.setitem(cli.FAMILIES, "bmun", recording)
+    monkeypatch.setitem(cli.FAMILIES, "bmun", (recording, params))
     out = tmp_path / "out"
     code, stdout, err = run(
         capsys, "count", "--family", "bmun", "--n", "2", "--b0", "10",
@@ -500,3 +500,107 @@ def test_check_subcommand(capsys):
     # a different seed still passes (results don't depend on the sample draw)
     code, out, _ = run(capsys, "check", "--samples", "60", "--seed", "4")
     assert code == 0
+
+
+def _record_kernel_calls(monkeypatch):
+    """Replace every family's counter by one that records its call."""
+    from stacky_heights import cli
+
+    calls = []
+
+    def recording(counter):
+        def count(cfg, bounds):
+            calls.append(bounds)
+            return counter(cfg, bounds)
+
+        return count
+
+    for family, (counter, params) in list(cli.FAMILIES.items()):
+        monkeypatch.setitem(cli.FAMILIES, family, (recording(counter), params))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[run]\nfamily = bmun\n\n[schedule]\nratoi = 3\n", "[schedule] ratoi"),
+        ("[run]\nfamily = bmun\n\n[sched]\nratio = 3\n", "[sched]"),
+        ("[run]\nfamily = bmun\nsteps = 3\n", "[run] steps"),
+        ("[DEFAULT]\nratio = 3\n\n[run]\nfamily = bmun\n", "[DEFAULT]"),
+        ("[run]\nfamily = rooted3\n\n[params]\nn = 3\n", "no parameter 'n'"),
+        ("[run]\nfamily = nosuch\n", "got 'nosuch'"),
+        ("family = bmun\n", "no section headers"),
+        ("[run]\nfamily = bmun\nfamily = rooted3\n", "already exists"),
+        ("[run]\nfamily = bmun\n[run]\nformat = json\n", "already exists"),
+        ("[run]\nfamily = bmun\njunk\n", "parsing errors"),
+        (b"[run]\nfamily = \xff\n", "config file"),
+    ],
+    ids=[
+        "misspelt-key", "unknown-section", "key-in-other-section", "default-section",
+        "undeclared-param", "unknown-family", "no-header", "duplicate-key",
+        "duplicate-section", "no-equals", "not-utf8",
+    ],
+)
+def test_count_config_undeclared_or_malformed_exits_2(tmp_path, capsys, monkeypatch, text, message):
+    # refused before any kernel call and before --out is created
+    calls = _record_kernel_calls(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "count", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and stdout == "" and err.startswith("error: "), err
+    assert message in err, err
+    assert calls == [] and not out.exists()
+
+
+def test_count_parameter_the_family_does_not_declare_exits_2(tmp_path, capsys, monkeypatch):
+    calls = _record_kernel_calls(monkeypatch)
+    out = tmp_path / "out"
+    for family in ("quadratic-fields", "football222", "rooted3", "quadratic-points"):
+        code, stdout, err = run(
+            capsys, "count", "--family", family, "--n", "7", "--b0", "10", "--steps", "1",
+            "--out", str(out),
+        )
+        assert code == 2 and stdout == "" and f"{family} takes no parameter 'n'" in err, err
+    assert calls == [] and not out.exists()
+
+
+def test_count_percent_in_out_is_literal(tmp_path, capsys):
+    # configparser's % interpolation would reject "res%1" when the resolved
+    # config is written, after the counts; flag and file read it as text
+    flag_out = tmp_path / "flag%1"
+    conf_out = tmp_path / "conf%%1"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\nfamily = bmun\nout = {conf_out}\n\n[schedule]\nb0 = 8\nsteps = 2\n")
+    reports = []
+    for argv, out in (
+        (["--family", "bmun", "--b0", "8", "--steps", "2", "--out", str(flag_out)], flag_out),
+        (["--config", str(cfg)], conf_out),
+    ):
+        code, stdout, err = run(capsys, "count", *argv)
+        assert code == 0, err
+        reports.append(json.loads(stdout))
+        written = next(p for p in out.iterdir() if p.suffix == ".cfg").read_text()
+        assert f"out = {out}\n" in written
+        assert {p.suffix for p in out.iterdir()} == {".cfg", ".json", ".csv"}
+    assert reports[0] == reports[1]
+    assert [n for _, n in reports[0]["samples"]] == [78, 314]
+
+
+def test_count_resolved_cfg_reruns_the_same_run(tmp_path, capsys):
+    # the .cfg a run writes names only declared settings, so it loads as a
+    # config file and gives the same run id, counts and files
+    first, second = tmp_path / "first", tmp_path / "second"
+    code, out1, err = run(
+        capsys, "count", "--family", "bmun", "--n", "3", "--b0", "5/2", "--ratio", "3/2",
+        "--steps", "3", "--format", "plot", "--out", str(first),
+    )
+    assert code == 0, err
+    written = next(p for p in first.iterdir() if p.suffix == ".cfg")
+    code, out2, err = run(capsys, "count", "--config", str(written), "--out", str(second))
+    assert code == 0, err
+    r1, r2 = json.loads(out1), json.loads(out2)
+    assert r2["samples"] == r1["samples"] and r2["fit"] == r1["fit"]
+    assert sorted(p.name for p in second.iterdir()) == sorted(p.name for p in first.iterdir())
+    rerun = (second / written.name).read_text()
+    assert rerun == written.read_text().replace(f"out = {first}", f"out = {second}")

@@ -66,27 +66,35 @@ def test_sieve_matches_per_element():
             assert int(table[k]) == power_free_part(k, m), (m, k)
 
 
+def _sieve_in_windows(n, m, size):
+    """sieve_power_free_parts(n, m) with windows of size integers."""
+    from stacky_heights import counting
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_WINDOW", size)
+        return sieve_power_free_parts(n, m)
+
+
 def test_sieve_segmentation_equivalence():
-    # segment sizes not aligned to p^2 start windows mid-period
+    # window sizes not aligned to p^2 start windows mid-period
     for m in (2, 3, 4):
         full = sieve_power_free_parts(5000, m)
         for size in (257, 4096):
-            seg = sieve_power_free_parts(5000, m, segment_size=size)
-            assert np.array_equal(full, seg), (m, size)
+            assert np.array_equal(full, _sieve_in_windows(5000, m, size)), (m, size)
         assert [int(v) for v in full[1:]] == [power_free_part(k, m) for k in range(1, 5001)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 3000), size=st.integers(1, 600))
 def test_sieve_squarefree_matches_per_element_property(n, size):
-    table = sieve_power_free_parts(n, 2, segment_size=size)
+    table = _sieve_in_windows(n, 2, size)
     assert [int(v) for v in table[1:]] == [power_free_part(k, 2) for k in range(1, n + 1)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 3000), m=st.integers(3, 5), size=st.integers(1, 600))
 def test_sieve_power_free_matches_per_element_property(n, m, size):
-    table = sieve_power_free_parts(n, m, segment_size=size)
+    table = _sieve_in_windows(n, m, size)
     assert [int(v) for v in table[1:]] == [power_free_part(k, m) for k in range(1, n + 1)]
 
 
@@ -102,11 +110,11 @@ def _window_pairs(limit):
     pairs, windows = [], 0
     for d, mu in _mobius_windows(limit):
         assert d.dtype == np.int64 and mu.dtype == np.int8
-        lo = windows * counting._MU_WINDOW + 1
-        assert all(lo <= k < lo + counting._MU_WINDOW for k in d.tolist())
+        lo = windows * counting._WINDOW + 1
+        assert all(lo <= k < lo + counting._WINDOW for k in d.tolist())
         pairs += zip(d.tolist(), mu.tolist())
         windows += 1
-    assert windows == -(-limit // counting._MU_WINDOW)
+    assert windows == -(-limit // counting._WINDOW)
     return pairs
 
 
@@ -117,7 +125,7 @@ def test_mobius_windows_match_factor(monkeypatch):
     for limit in range(3001):
         assert _window_pairs(limit) == [r for r in ref if r[0] <= limit], limit
     for size in (1, 7):
-        monkeypatch.setattr(counting, "_MU_WINDOW", size)
+        monkeypatch.setattr(counting, "_WINDOW", size)
         for limit in (0, 1, 2, 63, 64, 65, 2999, 3000):
             assert _window_pairs(limit) == [r for r in ref if r[0] <= limit], (size, limit)
 
@@ -154,7 +162,7 @@ def test_count_kernels_agree_across_window_sizes(monkeypatch):
     assert F(5500) ** 5 >= 2**62 > F(5000) ** 5
     expected = [fn(*args) for fn, *args in calls]
     for size in (1, 7):
-        monkeypatch.setattr(counting, "_MU_WINDOW", size)
+        monkeypatch.setattr(counting, "_WINDOW", size)
         assert [fn(*args) for fn, *args in calls] == expected, size
 
 
@@ -638,16 +646,18 @@ def test_count_quadratic_fields_size_cap(monkeypatch):
 def test_count_quadratic_points_size_cap(monkeypatch):
     # the tables run up to the largest integer below B^2, and floor(B^2) may
     # be at most 2^23: 2896^2 and (2896.3)^2 are below it, 2897^2 and
-    # (2896.4)^2 above; a stand-in for the Moebius windows records its limit
+    # (2896.4)^2 above; stand-ins for the Moebius windows and the totient
+    # table record their limit, so the test stays cheap whichever comes first
     from stacky_heights import counting
 
     limits = []
 
     def record(limit):
         limits.append(limit)
-        raise LookupError("stand-in windows")
+        raise LookupError("stand-in table")
 
     monkeypatch.setattr(counting, "_mobius_windows", record)
+    monkeypatch.setattr(counting, "_totient_upto", record)
     for B in (2897, F(28964, 10), [10, 2897]):
         with pytest.raises(ValueError, match=r"count_quadratic_points .*2\^23"):
             count_quadratic_points(B)

@@ -80,16 +80,20 @@ def test_height_not_additive_in_j():
     st.lists(st.integers(1, 6), min_size=1, max_size=4),
     st.data(),
     st.integers(2, 40),
+    st.sampled_from([1, -1]),
+    st.integers(1, 3),
 )
-def test_weighted_scaling_invariance(weights, data, lam):
+def test_weighted_scaling_invariance(weights, data, lam, sign, j):
     coords = [
         data.draw(st.integers(-(10**4), 10**4)) for _ in weights
     ]
     if all(c == 0 for c in coords):
         coords[0] = 1
     pt = WeightedPoint(tuple(weights), tuple(coords))
-    scaled = tuple(c * lam**a for c, a in zip(coords, weights))
+    scaled = tuple(c * (sign * lam) ** a for c, a in zip(coords, weights))
     assert height_O1(minimal_form(weights, scaled)) == height_O1(pt)
+    # the height takes the scaled point as it is, not only its minimal form
+    assert height_Oj(WeightedPoint(tuple(weights), scaled), j) == height_Oj(pt, j)
 
 
 @settings(max_examples=200)
@@ -114,16 +118,19 @@ def test_height_Oj_matches_engine_on_pure_powers(weights, data, lam, j):
 
 
 def test_height_Oj_factors_no_value_above_its_coordinates(factor_calls):
+    # one factorization per nonzero coordinate, and nothing else: no power,
+    # and no gcd of a minimal form
     for weights, coords in [
         ((4, 6), (-3 * 1_000_003, 2 * 1_000_033)),
         ((2, 3, 5), (7**2 * 1_000_003, 0, -(7**5) * 11)),
         ((1, 2), (999_983, 999_979)),
+        ((2, 3), (-(6**2) * 5, 6**3 * 7)),  # not minimal: 6 scales it
     ]:
         pt = WeightedPoint(weights, coords)
         for j in (1, 2, 3):
             factor_calls.clear()
             height_Oj(pt, j)
-            assert factor_calls and max(factor_calls) <= max(map(abs, coords))
+            assert sorted(factor_calls) == sorted(abs(m) for m in coords if m)
 
 
 @settings(max_examples=100)
@@ -199,7 +206,7 @@ def test_elliptic_examples():
 
 def test_hyperelliptic_examples():
     assert hyperelliptic_height((1, 0, 0, 0)) == ExactHeight.zero()
-    # non-minimal models reduce before the height is read off
+    # a non-minimal model has the height of its minimal form
     assert hyperelliptic_height((0, 0, 0, 2**10)) == ExactHeight.zero()
     assert hyperelliptic_height((2**4, 0, 0, 0)) == ExactHeight.zero()
     assert hyperelliptic_height((0, 0, 0, 3 * 2**10)) == ExactHeight({3: F(1, 10)})
