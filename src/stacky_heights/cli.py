@@ -17,7 +17,9 @@ are reproducible bit for bit.  `search` takes its thread count from the
 flag, else STACKY_THREADS, else 1.
 
 The counting layer, and numpy with it, is imported only by the commands
-that count, fit, search or check; height and malle never load it.
+that count, fit, search or check; height and malle never load it.  Each
+call builds the parser of the one command it runs, from the table
+COMMANDS; only top-level help and errors build the parser of them all.
 """
 
 from __future__ import annotations
@@ -258,8 +260,7 @@ class RunConfig:
         if self.family not in FAMILIES:
             known = ", ".join(sorted(FAMILIES))
             raise UsageError(f"need --family or [run] family, one of {known}; got {self.family!r}")
-        for name in self.params:
-            self.param(name)
+        self.params = {name: self.param(name) for name in self.params}  # "03" -> 3
         if self.steps < 1:
             raise UsageError("schedule needs at least one step")
         if self.ratio <= 1:
@@ -278,7 +279,7 @@ class RunConfig:
             raise UsageError("schedule bounds collide as floats; use a larger ratio")
 
     def param(self, name: str) -> int:
-        """A parameter the family declares, as given or else its default."""
+        """A parameter the family declares, as an int: as given, else its default."""
         declared = FAMILIES[self.family][1]
         if name not in declared:
             raise UsageError(f"family {self.family} takes no parameter {name!r}")
@@ -417,12 +418,13 @@ def cmd_count(args) -> int:
         report.fit = None
 
     (cfg.out / f"{run_id}.cfg").write_text(cfg.resolved_ini())
-    (cfg.out / f"{run_id}.json").write_text(json.dumps(report.to_json(), indent=2))
+    text = json.dumps(report.to_json(), indent=2)
+    (cfg.out / f"{run_id}.json").write_text(text)
     if cfg.format == "csv":
         (cfg.out / f"{run_id}.csv").write_text(report.to_csv())
     elif cfg.format == "plot":
         (cfg.out / f"{run_id}.dat").write_text(report.to_plot())
-    print(json.dumps(report.to_json(), indent=2))
+    print(text)
     return 0
 
 
@@ -477,73 +479,83 @@ def cmd_check(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (help, flag -> add_argument keywords), the one source of the
+# whole parser and of each one-command parser.  Command c runs cmd_c, looked
+# up when its parser is built, so a wrapper bound to that name since import
+# (a tracer, a test's stand-in) is what runs.
+COMMANDS = {
+    "height": ("evaluate one height exactly", {
+        "family": {"choices": ["wps", "bmun", "quadratic", "football", "elliptic", "hyperelliptic", "sym2"]},
+        "--weights": {},
+        "--coords": {},
+        "--point": {"help": 'point: "a,b" for football, "a0,a1,...:M0,M1,..." shorthand for wps'},
+        "--j": {"type": int, "default": 1, "help": "bundle twist (wps/bmun)"},
+        "--n": {"type": int, "help": "power class modulus (bmun)"},
+        "--x": {"help": "rational representative (bmun)"},
+        "--d": {"type": int, "help": "squarefree integer (quadratic)"},
+        "--line": {"help": 'roots "u1,v1,m1;..." (football)'},
+        "--divisor": {"help": 'divisor "d;n1,n2,..." (football)'},
+        "--tangent": {"action": "store_true", "help": "use the tangent divisor"},
+        "--A": {"type": int, "help": "elliptic coefficient"},
+        "--B": {"type": int, "help": "elliptic coefficient"},
+        "--coeffs": {"help": "hyperelliptic a2,a3,... coefficients"},
+        "--form": {"help": "quadratic form a,b,c (sym2)"},
+    }),
+    "malle": ("Malle exponent of a permutation group", {
+        "--degree": {"type": int, "required": True},
+        "--gens": {"required": True, "help": 'generators "(1 2 3);(1 2)"'},
+    }),
+    "count": ("run a counting schedule", {
+        "--family": {"choices": sorted(FAMILIES)},
+        "--config": {"help": "INI config file"},
+        "--b0": {"help": "first bound (exact decimal or fraction)"},
+        "--ratio": {"help": "schedule ratio (exact decimal or fraction)"},
+        "--steps": {"type": int},
+        "--n": {"type": int, "help": "bmun modulus"},
+        "--format": {"choices": ["csv", "json", "plot"]},
+        "--threads": {"type": int},
+        "--out": {"help": "output directory"},
+        "--resume": {"action": "store_true", "help": "reuse checkpointed samples"},
+    }),
+    "fit": ("fit growth exponents of a saved report", {
+        "--report": {"required": True},
+        "--update": {"action": "store_true", "help": "write the fit back"},
+    }),
+    "search": ("stacky Vojta exception searches", {
+        "--kind": {"choices": ["444", "ap5"], "required": True},
+        "--cutoff": {"type": int, "required": True},
+        "--delta": {"type": float, "required": True},
+        "--threads": {"type": int},
+    }),
+    "check": ("run the exact cross-validation suites", {
+        "--seed": {"type": int, "default": 0},
+        "--samples": {"type": int, "default": 1000},
+    }),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one command `only`.  Its
+    usage line still lists every command, so each message is the same."""
     ap = argparse.ArgumentParser(
         prog="stacky-heights",
         description="Exact heights on stacky curves over Q; counting and searches.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    h = sub.add_parser("height", help="evaluate one height exactly")
-    h.add_argument("family", choices=["wps", "bmun", "quadratic", "football", "elliptic", "hyperelliptic", "sym2"])
-    h.add_argument("--weights")
-    h.add_argument("--coords")
-    h.add_argument(
-        "--point",
-        help='point: "a,b" for football, "a0,a1,...:M0,M1,..." shorthand for wps',
-    )
-    h.add_argument("--j", type=int, default=1, help="bundle twist (wps/bmun)")
-    h.add_argument("--n", type=int, help="power class modulus (bmun)")
-    h.add_argument("--x", help="rational representative (bmun)")
-    h.add_argument("--d", type=int, help="squarefree integer (quadratic)")
-    h.add_argument("--line", help='roots "u1,v1,m1;..." (football)')
-    h.add_argument("--divisor", help='divisor "d;n1,n2,..." (football)')
-    h.add_argument("--tangent", action="store_true", help="use the tangent divisor")
-    h.add_argument("--A", type=int, help="elliptic coefficient")
-    h.add_argument("--B", type=int, help="elliptic coefficient")
-    h.add_argument("--coeffs", help="hyperelliptic a2,a3,... coefficients")
-    h.add_argument("--form", help="quadratic form a,b,c (sym2)")
-    h.set_defaults(fn=cmd_height)
-
-    m = sub.add_parser("malle", help="Malle exponent of a permutation group")
-    m.add_argument("--degree", type=int, required=True)
-    m.add_argument("--gens", required=True, help='generators "(1 2 3);(1 2)"')
-    m.set_defaults(fn=cmd_malle)
-
-    c = sub.add_parser("count", help="run a counting schedule")
-    c.add_argument("--family", choices=sorted(FAMILIES))
-    c.add_argument("--config", help="INI config file")
-    c.add_argument("--b0", help="first bound (exact decimal or fraction)")
-    c.add_argument("--ratio", help="schedule ratio (exact decimal or fraction)")
-    c.add_argument("--steps", type=int)
-    c.add_argument("--n", type=int, help="bmun modulus")
-    c.add_argument("--format", choices=["csv", "json", "plot"])
-    c.add_argument("--threads", type=int)
-    c.add_argument("--out", help="output directory")
-    c.add_argument("--resume", action="store_true", help="reuse checkpointed samples")
-    c.set_defaults(fn=cmd_count)
-
-    f = sub.add_parser("fit", help="fit growth exponents of a saved report")
-    f.add_argument("--report", required=True)
-    f.add_argument("--update", action="store_true", help="write the fit back")
-    f.set_defaults(fn=cmd_fit)
-
-    s = sub.add_parser("search", help="stacky Vojta exception searches")
-    s.add_argument("--kind", choices=["444", "ap5"], required=True)
-    s.add_argument("--cutoff", type=int, required=True)
-    s.add_argument("--delta", type=float, required=True)
-    s.add_argument("--threads", type=int)
-    s.set_defaults(fn=cmd_search)
-
-    k = sub.add_parser("check", help="run the exact cross-validation suites")
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--samples", type=int, default=1000)
-    k.set_defaults(fn=cmd_check)
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if only is None else [only]:
+        summary, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for flag, keywords in arguments.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(fn=globals()[f"cmd_{name}"])
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser only for top-level help and errors
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = ap.parse_args(argv)
     try:
         return args.fn(args)

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -109,6 +108,14 @@ def _isqrt_vec(z: np.ndarray) -> np.ndarray:
     return r
 
 
+def _iroot4_vec(z: np.ndarray) -> np.ndarray:
+    """Exact elementwise floor fourth root for nonnegative int64 below 2^62."""
+    r = np.sqrt(np.sqrt(z)).astype(np.int64)  # off by at most one
+    r += (r + 1) ** 4 <= z  # below 46343^4 < 2^63
+    r -= r**4 > z
+    return r
+
+
 def _ragged_arange(lens: np.ndarray) -> np.ndarray:
     """0, 1, ..., n - 1 for each n in lens, concatenated."""
     return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(
@@ -147,10 +154,11 @@ def _mobius_windows(limit: int):
         for p in primes:
             signed[-lo % p :: p] *= -p
             signed[-lo % (p * p) :: p * p] = 0
-        d = np.flatnonzero(signed)
+        d = np.flatnonzero(signed != 0)  # a bool scan: twice as fast on int32
         signed, d = signed[d], d + lo
-        mu = np.sign(signed).astype(np.int8)
-        np.negative(mu, out=mu, where=np.abs(signed) < d)
+        # mu = +1 where the product is positive xor a prime is missing from it
+        mu = ((signed > 0) ^ (np.abs(signed) < d)).view(np.int8) * np.int8(2)
+        mu -= 1
         yield d, mu
 
 
@@ -326,16 +334,6 @@ def _distinct_primes(n: int) -> list[int]:
     return [p for p, _ in factor(n).factors] if n > 1 else []
 
 
-def _coprime_upto(bounds: Sequence[int], prime_list: Sequence[int]) -> list[int]:
-    """#{1 <= k <= bound : k coprime to all listed primes}, for each bound."""
-    terms = [
-        ((-1) ** k, math.prod(c))
-        for k in range(len(prime_list) + 1)
-        for c in combinations(prime_list, k)
-    ]
-    return [sum(sign * (bound // d) for sign, d in terms) for bound in bounds]
-
-
 _ROOTED3_MAX_ROOT = 1 << 25  # Phi_3 table entries; about 25 bytes each
 
 
@@ -357,28 +355,42 @@ def count_rooted3_at_0(B: Bounds) -> Counts:
         return T if T >= 1 else None
 
     def count_levels(levels: list[int]) -> list[int]:
-        R = _iroot(levels[-1], 4)
+        top = levels[-1]
+        R = _iroot(top, 4)
         phi3 = sieve_power_free_parts(R, 3)
-        # a level T admits a only if Phi_3(a) a^4 <= T (no b works otherwise:
-        # max(a, b) >= a); that product passes 2^63, so floats with a margin
-        # pick the candidates for the top level and Python integers decide
+        # a level T admits a only if its key Phi_3(a) a^4 <= T (no b works
+        # otherwise: max(a, b) >= a); floats with a margin pick the candidates
+        # for the top level, so every key is at most top (1 + 1e-9): int64
+        # while top < 2^62, Python integers above
         a4 = np.arange(1, R + 1, dtype=np.float64) ** 4
-        cand = np.flatnonzero(phi3[1:] * a4 <= levels[-1] * (1 + 1e-9)) + 1
-        totals = [0] * len(levels)
+        cand = np.flatnonzero(phi3[1:] * a4 <= top * (1 + 1e-9)) + 1
+        wide = top >= 1 << 62
+        f = phi3[cand].astype(object if wide else np.int64)
+        key = f * cand.astype(f.dtype) ** 4
+        order = np.argsort(key, kind="stable")
+        cand, f, key = cand[order], f[order], key[order]
+        # mu(d) d for the squarefree d dividing each candidate, candidate by
+        # candidate, so the divisors of the candidates a level admits are a prefix
+        signed, ends = [], [0]
         for a in cand.tolist():
-            f = int(phi3[a])
-            first = bisect_left(levels, f * a**4)
-            if first == len(levels):
-                continue
-            # at each level T every b <= cap coprime to a, where cap =
-            # max(a, largest b with f b^4 <= T); counts (1, 1) once via a = 1
-            f_next = f * (a + 1) ** 4
-            caps = [
-                math.isqrt(math.isqrt(T // f)) if f_next <= T else a
-                for T in levels[first:]
-            ]
-            for i, c in enumerate(_coprime_upto(caps, _distinct_primes(a)), first):
-                totals[i] += c
+            divs = [1]
+            for p in _distinct_primes(a):
+                divs += [-d * p for d in divs]
+            signed += divs
+            ends.append(len(signed))
+        signed = np.array(signed, dtype=np.int64)
+        dv, mu = np.abs(signed), np.sign(signed)
+        owner = np.repeat(np.arange(len(cand)), np.diff(ends))
+        # at level T every b <= cap = floor((T // Phi_3(a))^(1/4)) coprime to
+        # an admitted a counts (cap >= a); (1, 1) is counted once, via a = 1
+        totals = []
+        for T, k in zip(levels, np.searchsorted(key, levels, side="right").tolist()):
+            if wide:
+                cap = np.array([math.isqrt(math.isqrt(T // x)) for x in f[:k]], dtype=np.int64)
+            else:
+                cap = _iroot4_vec(T // f[:k])
+            n = ends[k]
+            totals.append(int(mu[:n] @ (cap[owner[:n]] // dv[:n])))
         return totals
 
     return _schedule(B, level, count_levels)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from stacky_heights.arith import factor
-from stacky_heights.cli import main, parse_cycles, parse_line
+from stacky_heights.cli import COMMANDS, build_parser, main, parse_cycles, parse_line
 
 
 def run(capsys, *argv):
@@ -599,8 +599,102 @@ def test_count_resolved_cfg_reruns_the_same_run(tmp_path, capsys):
     written = next(p for p in first.iterdir() if p.suffix == ".cfg")
     code, out2, err = run(capsys, "count", "--config", str(written), "--out", str(second))
     assert code == 0, err
-    r1, r2 = json.loads(out1), json.loads(out2)
-    assert r2["samples"] == r1["samples"] and r2["fit"] == r1["fit"]
+    assert out2 == out1  # the parameter is stored as the int --n gives
     assert sorted(p.name for p in second.iterdir()) == sorted(p.name for p in first.iterdir())
     rerun = (second / written.name).read_text()
     assert rerun == written.read_text().replace(f"out = {first}", f"out = {second}")
+
+
+def test_count_parameter_text_and_flag_give_one_run(tmp_path, capsys):
+    # [params] n = 03 and --n 3 are one run: one run id, so --resume finds
+    # the checkpoint, and the same report bytes, with "n": 3
+    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nfamily = bmun\n\n[schedule]\nb0 = 3\nratio = 2\nsteps = 3\n\n[params]\nn = 03\n")
+    code, out1, err = run(capsys, "count", "--config", str(cfg), "--out", str(from_file))
+    assert code == 0, err
+    flags = ["count", "--family", "bmun", "--n", "3", "--b0", "3", "--ratio", "2", "--steps", "3"]
+    code, out2, err = run(capsys, *flags, "--out", str(from_flags))
+    assert code == 0, err
+    assert out1 == out2 and json.loads(out1)["params"] == {"n": 3}
+    names = sorted(p.name for p in from_file.iterdir())
+    assert names == sorted(p.name for p in from_flags.iterdir())
+    for name in names:
+        text = (from_file / name).read_text().replace(f"out = {from_file}", "out = X")
+        assert text == (from_flags / name).read_text().replace(f"out = {from_flags}", "out = X")
+    code, out3, err = run(capsys, *flags, "--out", str(from_file), "--resume")
+    assert code == 0 and out3 == out1 and "one pass" not in err, err
+
+
+def _parse_outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr of parse(argv), which exits through
+    argparse for help and usage errors."""
+    with pytest.raises(SystemExit) as e:
+        parse(list(argv))
+    out = capsys.readouterr()
+    return e.value.code, out.out, out.err
+
+
+# per command: its help, an error its own parser reports, and a flag it
+# does not know, which the top-level parser reports with its usage line
+PARSER_CASES = {
+    "height": [["height", "--help"], ["height"], ["height", "nosuch"], ["height", "wps", "--nosuch"]],
+    "malle": [["malle", "-h"], ["malle", "--degree", "3"], ["malle", "--degree", "3", "--gens", "", "-x"]],
+    "count": [["count", "--help"], ["count", "--steps", "x"], ["count", "x", "--nosuch"]],
+    "fit": [["fit", "--help"], ["fit"], ["fit", "--report", "r", "--nosuch"]],
+    "search": [
+        ["search", "--help"], ["search", "--kind", "9"],
+        ["search", "--kind", "ap5", "--cutoff", "1", "--delta", "1", "--nosuch"],
+    ],
+    "check": [["check", "--help"], ["check", "--seed", "x"], ["check", "--nosuch"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, command):
+    full = build_parser()
+    for argv in PARSER_CASES[command]:
+        want = _parse_outcome(capsys, full.parse_args, argv)
+        assert want[0] in (0, 2) and want[1] + want[2]
+        assert _parse_outcome(capsys, main, argv) == want, argv
+
+
+def test_main_builds_only_the_invoked_command(capsys, monkeypatch):
+    from stacky_heights import cli
+
+    built = []
+
+    def recording(only=None):
+        built.append(only)
+        return build_parser(only)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert run(capsys, "malle", "--degree", "3", "--gens", "(1 2 3)")[0] == 0
+    for argv in (["--help"], [], ["nosuch"], ["-h", "malle"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["malle", None, None, None, None]
+
+
+def test_main_runs_the_handler_bound_to_the_command_name(capsys, monkeypatch):
+    # a wrapper bound to cmd_<name> after import (as a tracer binds one) runs
+    from stacky_heights import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_malle", lambda args: seen.append(args.degree) or 0)
+    assert run(capsys, "malle", "--degree", "3", "--gens", "(1 2 3)") == (0, "", "")
+    assert seen == [3]
+
+
+def test_main_keeps_no_parser_state_between_calls(tmp_path, capsys):
+    # count, a usage error, a height query, then the same count again
+    argv = ["count", "--family", "rooted3", "--b0", "2", "--steps", "3", "--out", str(tmp_path)]
+    code, first, err = run(capsys, *argv)
+    assert code == 0, err
+    with pytest.raises(SystemExit) as e:
+        main(["count", "--family", "rooted3", "--steps", "x"])
+    assert e.value.code == 2 and "invalid int value" in capsys.readouterr().err
+    code, _, err = run(capsys, "height", "quadratic", "--d", "5")
+    assert code == 0, err
+    code, second, err = run(capsys, *argv)
+    assert code == 0 and second == first, err

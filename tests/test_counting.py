@@ -17,6 +17,7 @@ from stacky_heights.counting import (
     _f222_rows,
     _floor_sum,
     _iroot,
+    _iroot4_vec,
     _mobius_windows,
     _near_square_window,
     _prime_divisors_from_5,
@@ -579,6 +580,30 @@ def test_count_rooted3_pinned_beyond_int64():
         count_rooted3_at_0(40),
         11_697_650,
     ]
+
+
+def test_count_rooted3_schedule_of_the_benchmark_shape():
+    # 50 levels from b0 = 10 by 5/4, as the count benchmark runs them
+    Bs = [F(10) * F(5, 4) ** k for k in range(50)]
+    assert count_rooted3_at_0(Bs) == [count_rooted3_at_0(B) for B in Bs]
+
+
+def test_count_rooted3_schedule_across_the_int64_switch():
+    # the kernel runs in int64 while the top T is below 2^62, on Python
+    # integers above: B^3 just below and just above 2^62, against per-bound
+    # calls that run in int64
+    below = 1_664_510
+    assert below**3 - 1 < 2**62 <= (below + 1) ** 3 - 1
+    for top in (below, below + 1):
+        Bs = [F(top), 7, F(top, 3), F(top * 4, 5), 1000]
+        assert count_rooted3_at_0(Bs) == [count_rooted3_at_0(B) for B in Bs]
+
+
+def test_iroot4_vec_is_exact_up_to_2_62():
+    r = np.arange(1, math.isqrt(math.isqrt(2**62 - 1)) + 1, dtype=np.int64)
+    z = np.concatenate([r**4 - 1, r**4, r**4 + 1, [2**62 - 1]])  # every fourth power
+    z = z[z < 2**62]
+    assert _iroot4_vec(z).tolist() == [math.isqrt(math.isqrt(x)) for x in z.tolist()]
 
 
 def test_schedule_domain_errors_come_before_any_work(monkeypatch):
