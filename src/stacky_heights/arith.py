@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "FactoredInt",
@@ -40,7 +39,6 @@ __all__ = [
     "quadratic_field_discriminant",
     "fundamental_discriminant",
     "mahler_measure_quadratic",
-    "mahler_measure_lt",
 ]
 
 # A cofactor below this left by the small-prime strip is prime (10^6 = 1000^2).
@@ -56,6 +54,10 @@ def _small_primes(bound: int) -> list[int]:
 
 _PRIMES_1K = _small_primes(1000)
 _PRIMORIAL_1K = math.prod(_PRIMES_1K)
+# Below 150^2 a cofactor with no prime below 150 is prime, so a small n takes
+# its gcd with this 190-bit product instead of the 1 400-bit one.
+_SMALL_N = 150**2
+_PRIMORIAL_150 = math.prod(p for p in _PRIMES_1K if p < 150)
 
 # (psi_k, the first k primes): those witnesses decide every n < psi_k.
 # psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so those tiers merge.
@@ -209,8 +211,9 @@ def _brent_rho(n: int) -> int:
 
 
 def _factor_into(n: int, out: dict[int, int], mult: int = 1) -> None:
-    """Add mult times the factorization of n > 1 to out; every prime factor
-    of n exceeds 1000, so n = r^k needs prime k with 1000^k <= n."""
+    """Add mult times the factorization of n > 1 to out; n has no prime
+    factor below 1000 (or is below 150^2 with none below 150, so prime),
+    so n = r^k needs prime k with 1000^k <= n."""
     if n < _TRIAL_LIMIT or _prime_test(n):
         out[n] = out.get(n, 0) + mult
         return
@@ -228,7 +231,8 @@ def _factor_into(n: int, out: dict[int, int], mult: int = 1) -> None:
 
 def _factor_abs(n: int) -> tuple[tuple[int, int], ...]:
     """Factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
-    g = math.gcd(n, _PRIMORIAL_1K)  # the primes below 1000 dividing n, each once
+    # the primes below 1000 (below 150 for n < 150^2) dividing n, each once
+    g = math.gcd(n, _PRIMORIAL_150 if n < _SMALL_N else _PRIMORIAL_1K)
     small = []
     for p in _PRIMES_1K:
         if p * p > g:
@@ -240,7 +244,8 @@ def _factor_abs(n: int) -> tuple[tuple[int, int], ...]:
         small.append(g)
     fs = []
     for p in small:  # ascending, and below every prime of the cofactor
-        e = 0
+        n //= p
+        e = 1
         while n % p == 0:
             n //= p
             e += 1
@@ -396,17 +401,3 @@ def mahler_measure_quadratic(a: int, b: int, c: int) -> float:
     """Mahler measure |a| * max(1,|root1|) * max(1,|root2|) of ax^2+bx+c."""
     q, r, s = _mahler_squared(a, b, c)
     return math.sqrt(q + r * math.sqrt(s)) / 2.0
-
-
-def mahler_measure_lt(a: int, b: int, c: int, bound: Fraction) -> bool:
-    """Exact test M(ax^2+bx+c) < bound, for rational bound > 0."""
-    q, r, s = _mahler_squared(a, b, c)
-    bound = Fraction(bound)
-    t = 4 * bound * bound
-    if r == 0:
-        return q < t
-    # q + r*sqrt(s) < 4 bound^2  <=>  r sqrt(s) < t - q, both sides checked
-    rhs = t - q
-    if rhs <= 0:
-        return False
-    return r * r * s * rhs.denominator**2 < rhs.numerator**2

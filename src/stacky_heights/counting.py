@@ -14,11 +14,12 @@ strided numpy walks over the multiples of each prime.  Moebius values and
 squarefree lists stream from one generator, _mobius_windows, a window at a
 time, so no count kernel holds mu over its whole range.  The heavy
 enumeration (football222: pairs with three squarefree-part constraints)
-needs sqf(a + b) only at near-squares.  A counted pair has b > (a + b)/2,
-so with a + b = u z^2 and u = sqf(a + b), u^2 z^2 = u (a + b) < 2 u b <=
-2 sqf(a) sqf(b) u b <= 2T, and u z <= isqrt(2T).  Its segments of
-SEGMENT_SIZE values of a + b hold u at those values only, built from the
-squarefree u <= isqrt(2T) with no prime walk over the segment.
+walks b = t y^2 with t = sqf(b) and c = a + b = u z^2 with u = sqf(c), and
+needs sqf(a) only at near-squares.  A counted pair has a < b, so with
+a = s x^2 and s = sqf(a), s^2 x^2 = s a < s b <= T / (t u), and
+s x <= isqrt(T).  Its segments of SEGMENT_SIZE values of a hold s at those
+values only, built from the squarefree s <= isqrt(T) with no prime walk
+over the segment.
 
 Every count kernel takes one bound or a sequence of bounds.  A sequence is
 counted in one pass at its largest bound, with each table built once, and
@@ -56,7 +57,7 @@ Real = Union[int, float, Fraction]
 Bounds = Union[Real, Sequence[Real]]  # one bound, or a schedule of them
 Counts = Union[int, list[int]]  # an int for one bound, a list for a schedule
 
-SEGMENT_SIZE = 1 << 24  # football222 segment: values v = a + b per window
+SEGMENT_SIZE = 1 << 24  # football222 segment: values of a per window
 _WINDOW = 1 << 18  # sieve_power_free_parts and _mobius_windows window; temporaries ~2 MB
 
 
@@ -401,54 +402,59 @@ def count_rooted3_at_0(B: Bounds) -> Counts:
 # sqf(a) sqf(b) sqf(a+b) max(a, b) < B^2 over coprime a, b >= 1.
 #
 # The key is symmetric in a and b, and the only coprime pair with a = b is
-# (1, 1), whose key is 2.  So the kernel walks only b > a and the count at
+# (1, 1), whose key is 2.  So the kernel counts only a < b and the count at
 # each level T >= 2 is twice that, plus 1.
 #
-# Writing a = s x^2, b = t y^2 with s = sqf(a), t = sqf(b), the constraint
-# (with sqf(a+b) >= 1) forces s*t*max(s x^2, t y^2) <= T, which bounds the
-# candidates.  Candidates are grouped by v = a + b into segments.  Writing
-# v = u z^2 with u = sqf(v), a counted pair has u*v < 2*u*b <= 2*s*t*u*b <= 2T
-# (b > v/2 and s, t >= 1), so u z < sqrt(2T): only these near-squares can
-# count, and a table over the segment holds u at them and 0 elsewhere.  The
-# final test runs in int64 as s*t*b <= T // u on the nonzero entries.  For
-# integers this is the same as the product being at most T, and no product
-# is formed: s*t*b <= T holds for every candidate row by construction, and
-# v <= 2T.  Only candidates that pass the bound go on to the gcd test.
-# Everything stays exact while the int64 square roots of the y-windows do,
-# that is for 2T < 2^52.
+# Write b = t y^2 and c = a + b = u z^2 with t = sqf(b), u = sqf(c), and
+# s = sqf(a).  The key is s t u b, and s >= 1, so a counted pair has
+# t u b <= T.  A row (t, u, y) fixes b and walks z over b < u z^2 < 2b,
+# which is exactly 1 <= a = u z^2 - b < b.  Coprime a, b make t and u
+# coprime.  Candidates are grouped by a into segments.  Writing a = s x^2,
+# a counted pair has s a < s b <= T / (t u), so s x <= isqrt(T): only these
+# near-squares can count, and a table over the segment holds s at them and
+# 0 elsewhere.  A candidate passes where 1 <= s <= T // (t u b), its row's
+# bound, tested on the values the candidates gather; for integers this is
+# the same as the key being at most T.  Only those go on to the gcd test.
+# Everything stays exact while the int64 square roots do: u z^2 < 2b <= 2T,
+# so for 2T < 2^52.
 
 _F222_CHUNK = 1 << 16  # candidates per pass; each int64 temporary is 512 kB
 _F222_EXACT_LIMIT = 1 << 52  # _isqrt_vec is exact below this
 
 
 def _f222_rows(T: int):
-    """Row table (a, t, st, ymax) over coprime squarefree (s, t) and x.
+    """Row table (b, u, t u b, z0, zmax) over coprime squarefree (t, u) and y.
 
-    Rows run through s, then t, then x in increasing order.  Every pair
-    kept has s^2 t <= T and s t^2 <= T, so xmax, ymax >= 1.
+    Rows run through t, then u, then y in increasing order, with b = t y^2
+    and t u b <= T.  Row z runs from z0 to zmax, the z with b < u z^2 < 2b;
+    only rows where that span is nonempty are kept.
     """
-    sqfree = np.concatenate([s for s, _ in _mobius_windows(math.isqrt(T))])
-    tcap = np.minimum(T // (sqfree * sqfree), _isqrt_vec(T // sqfree))
-    ntc = np.searchsorted(sqfree, tcap, side="right")
-    s = np.repeat(sqfree, ntc)
-    t = sqfree[_ragged_arange(ntc)]
-    coprime = np.gcd(s, t) == 1
-    s, t = s[coprime], t[coprime]
-    xmax = _isqrt_vec(T // (s * s * t))
-    pair = np.repeat(np.arange(len(s)), xmax)
-    x = _ragged_arange(xmax) + 1
-    ymax = _isqrt_vec(T // (s * t * t))
-    return s[pair] * x * x, t[pair], (s * t)[pair], ymax[pair]
+    sqfree = np.concatenate([d for d, _ in _mobius_windows(math.isqrt(2 * T))])
+    t = sqfree[: np.searchsorted(sqfree, math.isqrt(T), side="right")]
+    # y >= 1 needs t^2 u <= T; some z needs u < 2b, so u^2 t < 2 t u b <= 2T
+    ucap = np.minimum(T // (t * t), _isqrt_vec((2 * T - 1) // t))
+    nuc = np.searchsorted(sqfree, ucap, side="right")
+    t = np.repeat(t, nuc)
+    u = sqfree[_ragged_arange(nuc)]
+    coprime = np.gcd(t, u) == 1
+    t, u = t[coprime], u[coprime]
+    ylo = _isqrt_vec(u // (2 * t)) + 1  # the least y with 2 t y^2 > u
+    lens = np.maximum(_isqrt_vec(T // (t * t * u)) - ylo + 1, 0)
+    y = _ragged_arange(lens) + np.repeat(ylo, lens)
+    t, u = np.repeat(t, lens), np.repeat(u, lens)
+    b = t * y * y
+    z0 = _isqrt_vec(b // u) + 1  # the least z with u z^2 > b
+    zmax = _isqrt_vec((2 * b - 1) // u)
+    keep = np.flatnonzero(z0 <= zmax)
+    return b[keep], u[keep], (t * u * b)[keep], z0[keep], zmax[keep]
 
 
-def _near_square_window(lo: int, hi: int, T: int) -> np.ndarray:
+def _near_square_window(lo: int, hi: int, R: int) -> np.ndarray:
     """int32 table over v in [lo, hi): u at each v = u z^2 with u squarefree
-    and u z <= isqrt(2T), 0 everywhere else.
+    and u z <= R, 0 everywhere else.
 
-    The entry at v is sqf(v) wherever it is nonzero; the zeros are the
-    values no pair counted at level T can have as a + b.
+    The entry at v is sqf(v) wherever it is nonzero.
     """
-    R = math.isqrt(2 * T)
     u = np.concatenate([u for u, _ in _mobius_windows(R)])
     zlo = _isqrt_vec((lo - 1) // u) + 1
     zhi = np.minimum(R // u, _isqrt_vec((hi - 1) // u))
@@ -460,62 +466,49 @@ def _near_square_window(lo: int, hi: int, T: int) -> np.ndarray:
     return table
 
 
-def _f222_windows(lo: int, hi: int, rows):
-    """(live, ylo, counts): rows live have v = a + t y^2 in [lo, hi) for
-    counts values of y from ylo; each row's span y0..ymax is cut at lo, hi."""
-    a, t, _, y0, ymax, vlo, vhi = rows
-    sel = np.flatnonzero((vlo < hi) & (vhi >= lo))
-    ylo, yhi = y0[sel], ymax[sel]
-    cut = np.flatnonzero(vlo[sel] < lo)  # least y with a + t y^2 >= lo
-    ylo[cut] = _isqrt_vec((lo - 1 - a[sel[cut]]) // t[sel[cut]]) + 1
-    cut = np.flatnonzero(vhi[sel] >= hi)  # largest y with a + t y^2 < hi
-    yhi[cut] = _isqrt_vec((hi - 1 - a[sel[cut]]) // t[sel[cut]])
-    live = np.flatnonzero(yhi >= ylo)
-    return sel[live], ylo[live], (yhi - ylo + 1)[live]
-
-
 def _f222_segment_count(lo: int, hi: int, levels: np.ndarray, rows) -> np.ndarray:
-    """Counted points with b > a and v = a + b in [lo, hi), by level.
+    """Counted points with a < b and a in [lo, hi), by level.
 
-    levels is increasing and the rows are built for T = levels[-1]; entry
-    i counts the points whose key sqf(a) sqf(b) sqf(a+b) b lies in
-    (levels[i - 1], levels[i]].  Each row walks only y with t y^2 > a, so
-    max(a, b) is b.
+    levels is increasing and rows = (b, u, t u b, z0, zmax, alo, ahi) is
+    _f222_rows(levels[-1]) with each row's least and largest a; entry i
+    counts the points whose key sqf(a) t u b lies in (levels[i - 1],
+    levels[i]].
     """
-    rows_a, rows_t, rows_st = rows[:3]
+    rows_b, rows_u, rows_tub, z0, zmax, alo, ahi = rows
     T = int(levels[-1])
-    hist = np.zeros(len(levels), dtype=np.int64)
-    # the windows come first, so their temporaries are freed before the table
-    live, ylo, counts = _f222_windows(lo, hi, rows)
-    near = _near_square_window(lo, hi, T)
-    is_near = near != 0  # one byte a value: the candidate gather reads less memory
+    sel = np.flatnonzero((alo < hi) & (ahi >= lo))
+    zlo, zhi = z0[sel], zmax[sel]
+    cut = np.flatnonzero(alo[sel] < lo)  # least z with u z^2 - b >= lo
+    zlo[cut] = _isqrt_vec((lo - 1 + rows_b[sel[cut]]) // rows_u[sel[cut]]) + 1
+    cut = np.flatnonzero(ahi[sel] >= hi)  # largest z with u z^2 - b < hi
+    zhi[cut] = _isqrt_vec((hi - 1 + rows_b[sel[cut]]) // rows_u[sel[cut]])
+    counts = np.maximum(zhi - zlo + 1, 0)  # a span may step over the segment
+    near = _near_square_window(lo, hi, math.isqrt(T))
 
+    hist = np.zeros(len(levels), dtype=np.int64)
     cum = np.cumsum(counts)
     start = 0
-    while start < len(live):
+    while start < len(sel):
         base = int(cum[start - 1]) if start > 0 else 0
         end = int(np.searchsorted(cum, base + _F222_CHUNK, side="right"))
-        end = min(max(end, start + 1), len(live))
-        rows = live[start:end]
+        end = min(max(end, start + 1), len(sel))
         reps = counts[start:end]
         ends = np.cumsum(reps)
-        # y runs from ylo upward within each row; v - lo = a - lo + t y^2
+        row = sel[start:end]
+        # z runs from zlo upward within each row; a - lo = u z^2 - b - lo
         v = np.arange(int(ends[-1]), dtype=np.int64)
-        v += np.repeat(ylo[start:end] - (ends - reps), reps)
+        v += np.repeat(zlo[start:end] - (ends - reps), reps)
         v *= v
-        v *= np.repeat(rows_t[rows], reps)
-        v += np.repeat(rows_a[rows] - lo, reps)
-        hit = np.flatnonzero(is_near[v])  # only near-squares v can count
-        row = rows[np.searchsorted(ends, hit, side="right")]
-        v = v[hit]
-        a, st, u = rows_a[row], rows_st[row], near[v].astype(np.int64)
-        b = v + (lo - a)
-        keep = np.flatnonzero(st * b <= T // u)
-        a, b, st, u = a[keep], b[keep], st[keep], u[keep]
+        v *= np.repeat(rows_u[row], reps)
+        v -= np.repeat(rows_b[row] + lo, reps)
+        s = near[v]
+        hit = np.flatnonzero((s != 0) & (s <= np.repeat(T // rows_tub[row], reps)))
+        row = row[np.searchsorted(ends, hit, side="right")]
+        a, b = v[hit] + lo, rows_b[row]
         coprime = np.gcd(a, b) == 1
-        # the key st b u of a kept row is at most T: no overflow
-        key = st * b * u
-        hist += np.bincount(np.searchsorted(levels, key[coprime]), minlength=len(levels))
+        # s t u b <= T: no overflow
+        key = s[hit][coprime] * rows_tub[row[coprime]]
+        hist += np.bincount(np.searchsorted(levels, key), minlength=len(levels))
         start = end
     return hist
 
@@ -541,19 +534,15 @@ def count_football222(B: Bounds, threads: int = 1) -> Counts:
 
     def count_levels(levels: list[int]) -> list[int]:
         T = levels[-1]
-        seg_size = min(SEGMENT_SIZE, 2 * T)
-        a, t, st, ymax = _f222_rows(T)
-        y0 = _isqrt_vec(a // t) + 1  # the least y with t y^2 > a
-        keep = y0 <= ymax
-        a, t, st, y0, ymax = a[keep], t[keep], st[keep], y0[keep], ymax[keep]
-        rows = (a, t, st, y0, ymax, a + t * y0 * y0, a + t * ymax * ymax)
+        seg_size = min(SEGMENT_SIZE, T)
+        b, u, tub, z0, zmax = _f222_rows(T)
+        rows = (b, u, tub, z0, zmax, u * z0 * z0 - b, u * zmax * zmax - b)
         levels_arr = np.array(levels, dtype=np.int64)
 
         def segment(lo: int) -> np.ndarray:
-            hi = min(lo + seg_size, 2 * T + 1)
-            return _f222_segment_count(lo, hi, levels_arr, rows)
+            return _f222_segment_count(lo, min(lo + seg_size, T + 1), levels_arr, rows)
 
-        parts = _run_parallel(segment, range(2, 2 * T + 1, seg_size), threads)
+        parts = _run_parallel(segment, range(1, T + 1, seg_size), threads)
         return (np.cumsum(2 * sum(parts)) + 1).tolist()
 
     return _schedule(B, level, count_levels)

@@ -37,23 +37,29 @@ class WeightedPoint:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.coords):
-            raise ValueError("weights and coords must have equal length")
-        if not self.weights:
-            raise ValueError("need at least one coordinate")
-        if any(a < 1 for a in self.weights):
-            raise ValueError("weights must be >= 1")
-        if all(m == 0 for m in self.coords):
-            raise ValueError("coordinates must not all be zero")
+        _check_point(self.weights, self.coords)
 
     def is_minimal(self) -> bool:
-        return _descent(self) == 1
+        return _descent(self.weights, self.coords) == 1
 
 
-def _descent(pt: WeightedPoint) -> int:
+def _check_point(weights: tuple[int, ...], coords: tuple[int, ...]) -> None:
+    if len(weights) != len(coords):
+        raise ValueError("weights and coords must have equal length")
+    if not weights:
+        raise ValueError("need at least one coordinate")
+    if any(a < 1 for a in weights):
+        raise ValueError("weights must be >= 1")
+    if all(m == 0 for m in coords):
+        raise ValueError("coordinates must not all be zero")
+
+
+def _descent(weights: tuple[int, ...], coords: tuple[int, ...]) -> int:
     """The largest lambda >= 1 with lambda^{a_i} | M_i for every i."""
-    nz = [(m, a) for m, a in zip(pt.coords, pt.weights) if m != 0]
-    g = math.gcd(*(m for m, _ in nz))
+    g = math.gcd(*coords)
+    if g == 1:
+        return 1
+    nz = [(m, a) for m, a in zip(coords, weights) if m != 0]
     return math.prod(p ** min(ord_p(m, p) // a for m, a in nz) for p, _ in factor(g).factors)
 
 
@@ -67,14 +73,15 @@ def minimal_form(weights, coords) -> WeightedPoint:
     even weight are distinct representatives and must be deduplicated
     explicitly when enumerating.
     """
-    pt = WeightedPoint(tuple(int(a) for a in weights), tuple(int(m) for m in coords))
-    lam = _descent(pt)
-    coords = [m // lam**a for m, a in zip(pt.coords, pt.weights)]
-    if all(a % 2 == 1 for a in pt.weights):
-        first = next(m for m in coords if m != 0)
-        if first < 0:
-            coords = [-m for m in coords]
-    return WeightedPoint(pt.weights, tuple(coords))
+    weights = tuple(int(a) for a in weights)
+    coords = tuple(int(m) for m in coords)
+    _check_point(weights, coords)
+    lam = _descent(weights, coords)
+    if lam > 1:
+        coords = tuple(m // lam**a for m, a in zip(coords, weights))
+    if all(a % 2 == 1 for a in weights) and next(m for m in coords if m != 0) < 0:
+        coords = tuple(-m for m in coords)
+    return WeightedPoint(weights, coords)
 
 
 def height_O1(pt: WeightedPoint) -> ExactHeight:

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from math import gcd, isqrt, prod
 
 from stacky_heights.arith import (
+    _mahler_squared,
     factor,
     fundamental_discriminant,
     power_free_part,
@@ -74,22 +75,34 @@ def naive_football222(B):
 
 
 def naive_f222_rows(T):
-    """The f222 kernel's row table as (a, t, s t, ymax) tuples, by plain loops.
+    """The f222 kernel's row table as (b, u, t u b, z0, zmax) tuples, by plain
+    loops.
 
-    s, t run over coprime squarefree pairs with s^2 t <= T and s t^2 <= T,
-    then x over 1 <= x with s^2 t x^2 <= T, and a = s x^2.
+    t, u run over coprime squarefree pairs, then y over y >= 1 with
+    t u b <= T, where b = t y^2.  z0 and zmax are the least and the largest
+    z with b < u z^2 < 2b, and a row with no such z is left out.  Such a z
+    needs u < 2b, so u^2 t < 2 t u b <= 2T bounds u.
     """
     rows = []
-    for s in range(1, isqrt(T) + 1):
-        if squarefree_part(s) != s:
+    for t in range(1, isqrt(T) + 1):
+        if squarefree_part(t) != t:
             continue
-        t = 1
-        while s * s * t <= T and s * t * t <= T:
-            if squarefree_part(t) == t and gcd(s, t) == 1:
-                ymax = isqrt(T // (s * t * t))
-                for x in range(1, isqrt(T // (s * s * t)) + 1):
-                    rows.append((s * x * x, t, s * t, ymax))
-            t += 1
+        u = 1
+        while t * t * u <= T and u * u * t < 2 * T:
+            if squarefree_part(u) == u and gcd(t, u) == 1:
+                y = 1
+                while t * u * t * y * y <= T:
+                    b = t * y * y
+                    z0 = 1
+                    while u * z0 * z0 <= b:
+                        z0 += 1
+                    zmax = z0
+                    while u * (zmax + 1) ** 2 < 2 * b:
+                        zmax += 1
+                    if u * z0 * z0 < 2 * b:
+                        rows.append((b, u, t * u * b, z0, zmax))
+                    y += 1
+            u += 1
     return rows
 
 
@@ -104,6 +117,20 @@ def naive_rooted3(B):
             if gcd(a, b) == 1 and power_free_part(a, 3) * max(a, b) ** 4 < T:
                 cnt += 1
     return cnt
+
+
+def mahler_measure_lt(a, b, c, bound):
+    """Exact test M(ax^2+bx+c) < bound, for rational bound > 0."""
+    q, r, s = _mahler_squared(a, b, c)
+    bound = F(bound)
+    t = 4 * bound * bound
+    if r == 0:
+        return q < t
+    # q + r*sqrt(s) < 4 bound^2  <=>  r sqrt(s) < t - q, both sides checked
+    rhs = t - q
+    if rhs <= 0:
+        return False
+    return r * r * s * rhs.denominator**2 < rhs.numerator**2
 
 
 def _abs_range(lo, hi):

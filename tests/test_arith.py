@@ -12,7 +12,6 @@ from stacky_heights.arith import (
     factor,
     fundamental_discriminant,
     is_prime,
-    mahler_measure_lt,
     mahler_measure_quadratic,
     ord_p,
     power_free_part,
@@ -20,7 +19,7 @@ from stacky_heights.arith import (
     squarefree_part,
 )
 
-from oracles import td_is_prime, trial_division
+from oracles import mahler_measure_lt, td_is_prime, trial_division
 
 
 def test_factor_examples():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stacky_heights.arith import factor, mahler_measure_lt, power_free_part
+from stacky_heights.arith import factor, power_free_part
 from stacky_heights.counting import (
     CountReport,
     _count_reducible,
@@ -33,6 +33,7 @@ from stacky_heights.counting import (
 )
 
 from oracles import (
+    mahler_measure_lt,
     naive_ap5,
     naive_bmun,
     naive_f222_rows,
@@ -180,6 +181,60 @@ def test_f222_rows_match_plain_loops(T):
     assert rows == naive_f222_rows(T)
 
 
+def test_f222_segment_count_exact_where_the_row_bound_passes_2_31():
+    from stacky_heights import counting
+
+    # at T = 2^40 the row bound T // (t u b) passes 2^31 wherever t u b <=
+    # 512, first at b = 2, t = 2, u = 3; rows built by hand for b < 50
+    T = 2**40
+    rows = []
+    for b in range(2, 50):
+        t = power_free_part(b, 2)
+        for u in range(1, 2 * b):
+            zs = [z for z in range(1, b) if b < u * z * z < 2 * b]
+            if zs and power_free_part(u, 2) == u and math.gcd(t, u) == 1:
+                z0, zmax = zs[0], zs[-1]
+                rows.append((b, u, t * u * b, z0, zmax, u * z0 * z0 - b, u * zmax * zmax - b))
+    assert T // (2 * 3 * 2) >= 2**31 and (2, 3, 12) in [r[:3] for r in rows]
+    rows = tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+    keys = [
+        power_free_part(a, 2) * power_free_part(b, 2) * power_free_part(a + b, 2) * b
+        for b in range(2, 50)
+        for a in range(1, b)
+        if math.gcd(a, b) == 1
+    ]
+    hist = counting._f222_segment_count(1, 50, np.array([5000, T]), rows)
+    assert hist.tolist() == [sum(k <= 5000 for k in keys), sum(k > 5000 for k in keys)]
+
+
+@pytest.mark.parametrize(
+    "segment_size, B, T, want", [(7, 12, 143, 31), (None, 300, 89_999, 3597)]
+)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_count_football222_tables_span_no_value_above_T(
+    monkeypatch, segment_size, B, T, want, threads
+):
+    # a < b and t u b <= T put every counted a in [1, T], and s x <= isqrt(T)
+    # at every counted a = s x^2: the segments tile [1, T] and nothing more
+    from stacky_heights import counting
+
+    calls = []
+    real = counting._near_square_window
+
+    def recording(lo, hi, R):
+        calls.append((lo, hi, R))
+        return real(lo, hi, R)
+
+    monkeypatch.setattr(counting, "_near_square_window", recording)
+    if segment_size is not None:
+        monkeypatch.setattr(counting, "SEGMENT_SIZE", segment_size)
+    assert count_football222(B, threads=threads) == want
+    size = min(counting.SEGMENT_SIZE, T)
+    assert sorted(calls) == [
+        (lo, min(lo + size, T + 1), math.isqrt(T)) for lo in range(1, T + 1, size)
+    ]
+
+
 def test_iroot_exact_at_every_size():
     rng = random.Random(7)
     cases = [(n, k) for n in range(300) for k in range(1, 6)]
@@ -280,17 +335,12 @@ def test_count_football222_domain_limit():
             count_football222(B)
 
 
-def test_count_football222_threads_deterministic():
+def test_count_football222_threads_deterministic(monkeypatch):
     from stacky_heights import counting
 
-    old = counting.SEGMENT_SIZE
-    counting.SEGMENT_SIZE = 4096  # force several segments at toy scale
-    try:
-        seq = count_football222(40, threads=1)
-        par = count_football222(40, threads=2)
-    finally:
-        counting.SEGMENT_SIZE = old
-    assert seq == par == count_football222(40)
+    whole = count_football222(40)
+    monkeypatch.setattr(counting, "SEGMENT_SIZE", 256)  # several segments at toy scale
+    assert count_football222(40, threads=1) == count_football222(40, threads=2) == whole
 
 
 PAIR_CUT_BS = [F(14142, 10000), F(3, 2), 2, F(5, 2), 3, 5, 8, F(23, 2), 12]
@@ -341,8 +391,7 @@ def test_count_football222_builds_no_power_free_window(monkeypatch):
     assert count_football222([8, 1200]) == [naive_football222(8), 21_869]
 
 
-def _near_square_oracle(lo, hi, T):
-    r = math.isqrt(2 * T)
+def _near_square_oracle(lo, hi, r):
     out = []
     for v in range(lo, hi):
         u = power_free_part(v, 2)
@@ -354,10 +403,11 @@ def _near_square_oracle(lo, hi, T):
 def test_near_square_window_matches_power_free_part(T):
     top = 2 * T + 1
     windows = [(1, top), (1, 2), (T // 2 + 1, T + 2), (max(1, top - 13), top), (top - 1, top)]
-    for lo, hi in windows:
-        table = _near_square_window(lo, hi, T)
-        assert table.dtype == np.int32
-        assert table.tolist() == _near_square_oracle(lo, hi, T), (T, lo, hi)
+    for R in (math.isqrt(T), math.isqrt(2 * T)):
+        for lo, hi in windows:
+            table = _near_square_window(lo, hi, R)
+            assert table.dtype == np.int32
+            assert table.tolist() == _near_square_oracle(lo, hi, R), (T, R, lo, hi)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
