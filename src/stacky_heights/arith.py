@@ -176,8 +176,6 @@ def _iroot(n: int, k: int) -> int:
 
 def _brent_rho(n: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
     # Deterministic parameter schedule; n is composite so this terminates.
     c = 1
     while True:
@@ -369,7 +367,7 @@ def fundamental_discriminant(d: int) -> int:
         raise ValueError("d must not be 0 or 1")
     if any(e > 1 for _, e in factor(d).factors):
         raise ValueError(f"{d} is not squarefree")
-    return quadratic_field_discriminant(d)
+    return d if d % 4 == 1 else 4 * d
 
 
 def _mahler_squared(a: int, b: int, c: int) -> tuple[int, int, int]:

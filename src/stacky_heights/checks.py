@@ -179,8 +179,8 @@ def check_bmu3_discriminant(bound: int = 500) -> CheckResult:
     return res
 
 
-def random_rooted_line(rng: random.Random, max_roots: int = 4, max_order: int = 6) -> RootedLine:
-    r = rng.randint(0, max_roots)
+def random_rooted_line(rng: random.Random) -> RootedLine:
+    r = rng.randint(0, 4)
     roots = []
     forms: list[tuple[int, int]] = []
     while len(roots) < r:
@@ -191,7 +191,7 @@ def random_rooted_line(rng: random.Random, max_roots: int = 4, max_order: int = 
         if any(u * v2 - u2 * v == 0 for u2, v2 in forms):
             continue
         forms.append((u, v))
-        roots.append(((u, v), rng.randint(2, max_order)))
+        roots.append(((u, v), rng.randint(2, 6)))
     return RootedLine(tuple(roots))
 
 

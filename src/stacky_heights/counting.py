@@ -10,16 +10,17 @@ call keeps no module-level state and concurrent calls do not interfere.
 
 Every arithmetic table (totients, prime divisors, power-free parts) is
 built in the "sieve tables" section from one prime list, _primes_upto, by
-strided numpy walks over the multiples of each prime.  Moebius values and
-squarefree lists stream from one generator, _mobius_windows, a window at a
-time, so no count kernel holds mu over its whole range.  The heavy
-enumeration (football222: pairs with three squarefree-part constraints)
-walks b = t y^2 with t = sqf(b) and c = a + b = u z^2 with u = sqf(c), and
-needs sqf(a) only at near-squares.  A counted pair has a < b, so with
-a = s x^2 and s = sqf(a), s^2 x^2 = s a < s b <= T / (t u), and
-s x <= isqrt(T).  Its segments of SEGMENT_SIZE values of a hold s at those
-values only, built from the squarefree s <= isqrt(T) with no prime walk
-over the segment.
+walks over the multiples of each prime: strided numpy slices, an index
+gather for the m >= 3 power-free parts, Python lists for the prime
+divisors.  Moebius values and squarefree lists stream from one generator,
+_mobius_windows, a window at a time, so no count kernel holds mu over its
+whole range.  The heavy enumeration (football222: pairs with three
+squarefree-part constraints) walks b = t y^2 with t = sqf(b) and
+c = a + b = u z^2 with u = sqf(c), and needs sqf(a) only at near-squares.
+A counted pair has a < b, so with a = s x^2 and s = sqf(a),
+s^2 x^2 = s a < s b <= T / (t u), and s x <= isqrt(T).  Its segments of
+SEGMENT_SIZE values of a hold s at those values only, built from the
+squarefree s <= isqrt(T) with no prime walk over the segment.
 
 Every count kernel takes one bound or a sequence of bounds.  A sequence is
 counted in one pass at its largest bound, with each table built once, and
@@ -125,8 +126,7 @@ def _ragged_arange(lens: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# sieve tables: _primes_upto is the one prime source; every other table, and
-# each Moebius window, is a strided numpy walk over the multiples of its primes
+# sieve tables: every other table and each Moebius window walks _primes_upto
 
 
 def _primes_upto(bound: int) -> np.ndarray:
@@ -331,10 +331,6 @@ def count_quadratic_fields(X: Bounds) -> Counts:
 # single stacky root of order 3 at 0: Phi_3(a) * max(a, b)^4 bounded
 
 
-def _distinct_primes(n: int) -> list[int]:
-    return [p for p, _ in factor(n).factors] if n > 1 else []
-
-
 _ROOTED3_MAX_ROOT = 1 << 25  # Phi_3 table entries; about 25 bytes each
 
 
@@ -375,7 +371,7 @@ def count_rooted3_at_0(B: Bounds) -> Counts:
         signed, ends = [], [0]
         for a in cand.tolist():
             divs = [1]
-            for p in _distinct_primes(a):
+            for p, _ in factor(a).factors:
                 divs += [-d * p for d in divs]
             signed += divs
             ends.append(len(signed))
@@ -733,30 +729,6 @@ _AP5_BATCH = 1 << 16  # prefilter survivors per _ap5_batch_hits call
 _AP5_STEP_COST = 1024  # per-step overhead in a-values, for the block split
 
 
-def _ap5_exact(a, d, rg, sqf: np.ndarray, expo: Fraction) -> np.ndarray:
-    """Mask of the rows whose squarefree part of the product is below
-    (a + 4d)^expo, by the factorization above; only rows within 1e-9 of
-    the threshold in floats are decided in Python integers."""
-    primes_s = 6 * rg  # its prime set is {2, 3} and the primes of rg
-    taus = np.empty((5, len(a)), dtype=np.int64)
-    rest = np.ones(len(a), dtype=np.int64)  # squarefree, primes in primes_s
-    for i in range(5):
-        s = sqf[a + i * d]
-        w = np.gcd(s, primes_s)
-        taus[i] = s // w
-        g = np.gcd(rest, w)
-        rest = (rest // g) * (w // g)  # primes of odd total exponent so far
-    value = rest.astype(np.float64)
-    for t in taus:
-        value *= t
-    thr = (a + 4 * d).astype(np.float64) ** float(expo)
-    hit = value < thr * (1 - 1e-9)
-    for i in np.nonzero(~hit & (value < thr * (1 + 1e-9)))[0].tolist():
-        exact = math.prod(taus[:, i].tolist()) * int(rest[i])
-        hit[i] = _pow_lt(exact, int(a[i] + 4 * d[i]), expo)
-    return hit
-
-
 def _ap5_batch_hits(
     batch: list, u: np.ndarray, sqf: np.ndarray, expo: Fraction
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -764,19 +736,34 @@ def _ap5_batch_hits(
 
     batch holds (a values, d, product of the primes p >= 5 of d) per step.
     A float pass keeps the rows whose tau product is below (a + 4d)^expo
-    with a 1e-9 margin; only those go to the exact retest.
+    with a 1e-9 margin; those multiply in the primes of 6 rg of odd total
+    exponent, and only rows within 1e-9 of the threshold are decided in
+    Python integers.
     """
     a = np.concatenate([x for x, _, _ in batch])
     lens = [len(x) for x, _, _ in batch]
     d = np.repeat([d for _, d, _ in batch], lens)
     rg = np.gcd(a, np.repeat([r for _, _, r in batch], lens))
+    taus = np.empty((5, len(a)), dtype=np.int64)
     prod = np.ones(len(a))
     for i in range(5):
         ui = u[a + i * d]
-        prod *= ui // np.gcd(ui, rg)
-    keep = prod < (a + 4 * d).astype(np.float64) ** float(expo) * (1 + 1e-9)
-    a, d, rg = a[keep], d[keep], rg[keep]
-    hit = _ap5_exact(a, d, rg, sqf, expo)
+        taus[i] = ui // np.gcd(ui, rg)
+        prod *= taus[i]
+    thr = (a + 4 * d).astype(np.float64) ** float(expo)
+    keep = prod < thr * (1 + 1e-9)
+    a, d, rg, taus, prod, thr = a[keep], d[keep], rg[keep], taus[:, keep], prod[keep], thr[keep]
+    primes_s = 6 * rg  # its prime set is {2, 3} and the primes of rg
+    rest = np.ones(len(a), dtype=np.int64)  # squarefree, primes in primes_s
+    for i in range(5):
+        w = np.gcd(sqf[a + i * d], primes_s)
+        g = np.gcd(rest, w)
+        rest = (rest // g) * (w // g)  # primes of odd total exponent so far
+    value = prod * rest
+    hit = value < thr * (1 - 1e-9)
+    for i in np.nonzero(~hit & (value < thr * (1 + 1e-9)))[0].tolist():
+        exact = math.prod(taus[:, i].tolist()) * int(rest[i])
+        hit[i] = _pow_lt(exact, int(a[i] + 4 * d[i]), expo)
     return a[hit], d[hit]
 
 

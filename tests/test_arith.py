@@ -14,8 +14,10 @@ from stacky_heights.arith import (
     is_prime,
     mahler_measure_quadratic,
     ord_p,
+    power_free_exponents,
     power_free_part,
     power_free_reduce,
+    quadratic_field_discriminant,
     squarefree_part,
 )
 
@@ -28,6 +30,7 @@ def test_factor_examples():
     assert factor(12) == FactoredInt(1, ((2, 2), (3, 1)))
     assert factor(600851475143).factors == ((71, 1), (839, 1), (1471, 1), (6857, 1))
     assert factor(-600851475143).sign == -1
+    assert factor(-600851475143).value() == int(factor(-600851475143)) == -600851475143
 
 
 # Primes on both sides of 1000, where the small-prime strip hands over to
@@ -285,6 +288,13 @@ def test_power_free_reduce_examples():
     assert power_free_reduce(-32, 2) == (-2, 4)
 
 
+@pytest.mark.parametrize("fn", [power_free_exponents, power_free_reduce])
+@pytest.mark.parametrize("n, m, message", [(0, 2, "of 0"), (12, 1, "m must be >= 2")])
+def test_power_free_rejects_zero_and_small_m(fn, n, m, message):
+    with pytest.raises(ValueError, match=message):
+        fn(n, m)
+
+
 def test_squarefree_part_examples():
     assert squarefree_part(12) == 3
     assert squarefree_part(5) == 5
@@ -302,6 +312,9 @@ def test_fundamental_discriminant():
         fundamental_discriminant(1)
     with pytest.raises(ValueError):
         fundamental_discriminant(0)
+    assert quadratic_field_discriminant(-12) == -3
+    with pytest.raises(ValueError, match="36 is a square"):
+        quadratic_field_discriminant(36)
 
 
 def test_fundamental_discriminant_against_table():

@@ -2,6 +2,7 @@ import configparser
 import json
 import math
 import os
+import shlex
 from fractions import Fraction as F
 
 import pytest
@@ -115,6 +116,69 @@ def test_malle(capsys):
 def test_malle_space_between_cycles_is_usage_error(capsys):
     code, _, err = run(capsys, "malle", "--degree", "4", "--gens", "(1 2) (3 4)")
     assert code == 2 and "bad cycle notation" in err
+
+
+FOOTBALL = "height football --line 1,0,2 --point 1,2"
+RUN = "[run]\nfamily = bmun\n"
+
+
+# "NAME=value" words before the command set environment variables; {cfg} is
+# a config file holding the case's text, {missing} a path that does not exist
+USAGE_ERRORS = [
+    ("height wps --weights 1,2", None, "need --weights and --coords"),
+    ("height wps --point 1,2", None, "wps point must be 'a0,a1,...:M0,M1,...'"),
+    ("height bmun --n 3", None, "need --n and --x"),
+    ("height quadratic", None, "need --d"),
+    ("height football --point 1,2", None, "need --line and --point"),
+    (FOOTBALL, None, "need --divisor or --tangent"),
+    ("height elliptic --A 1", None, "need --A and --B"),
+    ("height hyperelliptic", None, "need --coeffs"),
+    ("height sym2", None, "need --form"),
+    ("height sym2 --form 1,x,2", None, "expected comma-separated integers, got '1,x,2'"),
+    (FOOTBALL + ",3 --tangent", None, "football point must be a,b"),
+    ("height football --line 1,0 --point 1,2 --tangent", None, "root '1,0' is not u,v,m"),
+    ("height football --line 2,4,2 --point 1,2 --tangent", None, "(2, 4) is not primitive"),
+    (FOOTBALL + " --divisor 0;1;2", None, "divisor '0;1;2' is not d;n1,n2,..."),
+    (FOOTBALL + " --divisor 0", None, "0 stacky coefficients, line has 1 roots"),
+    (FOOTBALL + " --divisor 0;1,2", None, "2 stacky coefficients, line has 1 roots"),
+    (FOOTBALL + " --divisor x;1", None, "invalid literal for int()"),
+    ("malle --degree 3 --gens '(1 4)'", None, "cycle entry out of range"),
+    ("malle --degree 3 --gens '(1 2 1)'", None, "repeated entry in cycle"),
+    ("malle --degree -1 --gens '()'", None, "element degree mismatch"),
+    ("count --config {cfg}", RUN + "[schedule]\nsteps = 0\n", "at least one step"),
+    ("count --config {cfg}", RUN + "[schedule]\nratio = 1\n", "ratio must exceed 1"),
+    ("count --config {cfg}", RUN + "[schedule]\nb0 = 0\n", "start must be positive"),
+    ("count --config {cfg}", RUN + "threads = 0\n", "thread count must be >= 1"),
+    ("count --config {cfg}", RUN + "format = xml\n", "unknown format 'xml'"),
+    ("STACKY_THREADS=0 search --kind 444 --cutoff 50 --delta 0.3", None, "thread count"),
+    ("count --family bmun --config {missing}", None, "cannot read config file"),
+]
+
+
+@pytest.mark.parametrize("command, config, message", USAGE_ERRORS, ids=[m for *_, m in USAGE_ERRORS])
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, command, config, message):
+    calls = _record_kernel_calls(monkeypatch)
+    monkeypatch.delenv("STACKY_THREADS", raising=False)
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    words = shlex.split(command.format(cfg=cfg, missing=tmp_path / "missing.cfg"))
+    while "=" in words[0]:
+        monkeypatch.setenv(*words.pop(0).split("=", 1))
+    code, stdout, err = run(capsys, *words)
+    assert code == 2 and stdout == "" and err.startswith("error: "), err
+    assert message in err, err
+    assert calls == []
+
+
+def test_count_resume_without_checkpoint_counts_every_bound(tmp_path, capsys):
+    args = ["count", "--family", "bmun", "--b0", "4", "--steps", "3", "--out", str(tmp_path)]
+    fresh = run_json(capsys, *args)
+    for ckpt in tmp_path.glob("*.checkpoint.json"):
+        ckpt.unlink()
+    code, resumed, err = run(capsys, *args, "--resume")
+    assert code == 0 and "3 bounds in one pass" in err, err
+    assert json.loads(resumed) == fresh
 
 
 def test_parse_helpers():

@@ -277,6 +277,8 @@ def test_count_bmun_examples():
     assert count_bmun(2, 1) == 2
     assert count_bmun(2, 2) == 6
     assert count_bmun(3, 2) == 7
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        count_bmun(1, 10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -769,7 +771,7 @@ def test_count_rooted3_size_cap(monkeypatch):
 
 
 def test_vojta_444_examples():
-    assert vojta_search_444(1, 0.5) == []
+    assert vojta_search_444(0, 0.5) == vojta_search_444(1, 0.5) == []
     assert vojta_search_444(100, 0.5) == naive_v444(100, 0.5)
     assert vojta_search_444(1000, 0.3) == naive_v444(1000, 0.3)
     # the smaller cutoffs have no hits; this one compares a nonempty list
@@ -778,6 +780,13 @@ def test_vojta_444_examples():
     # monotone in delta: harsher exponent keeps a subset
     small = set(vojta_search_444(2000, 0.3))
     assert small <= set(big)
+
+
+@pytest.mark.parametrize("search", [vojta_search_444, vojta_search_ap5])
+@pytest.mark.parametrize("delta", [0, 1, -0.5, 1.5])
+def test_vojta_delta_outside_unit_interval(search, delta):
+    with pytest.raises(ValueError, match="delta must lie strictly between 0 and 1"):
+        search(100, delta)
 
 
 def test_vojta_444_cutoff_domain_error():
@@ -795,6 +804,7 @@ def test_vojta_444_known_hit():
 
 def test_vojta_ap5_examples():
     assert vojta_search_ap5(4, 0.3) == []
+    assert vojta_search_ap5(5, 0.3) == []  # one step d, and no hit
     assert vojta_search_ap5(300, 0.3) == naive_ap5(300, 0.3)
     # worked non-examples
     spf_hits = set(vojta_search_ap5(1000, 0.1))

@@ -73,6 +73,8 @@ def test_generic_height_point_normalization_and_errors():
         generic_height(LINE222, tangent_divisor(LINE222), (0, 1))
     with pytest.raises(StackyPointError):
         generic_height(LINE222, tangent_divisor(LINE222), (-1, 1))
+    with pytest.raises(ValueError, match=r"\(0, 0\) is not a point"):
+        generic_height(LINE222, tangent_divisor(LINE222), (0, 0))
 
 
 def test_type1_height_examples():
@@ -86,6 +88,8 @@ def test_type1_height_examples():
         type1_height(f23, 0, PowerClass(3, 2), d10)  # modulus mismatch
     with pytest.raises(ValueError):
         type1_height(f23, 5, PowerClass(2, 3), d10)
+    with pytest.raises(ValueError, match="misaligned"):
+        type1_height(f23, 0, PowerClass(2, 3), StackDivisor(0, (1,)))
 
 
 def test_type1_reduces_mod_order():
@@ -102,6 +106,8 @@ def test_northcott_examples():
     assert northcott(2, 3, StackDivisor(-1, (1, 1))) is False
     with pytest.raises(ValueError):
         northcott(2, 4, StackDivisor(0, (1, 1)))
+    with pytest.raises(ValueError, match="both roots"):
+        northcott(2, 3, StackDivisor(0, (1,)))
 
 
 def test_tangent_divisor_examples():

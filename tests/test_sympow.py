@@ -23,6 +23,8 @@ def test_point_validation():
         QuadraticPoint.irreducible(2, 0, -4)  # imprimitive
     with pytest.raises(ValueError):
         QuadraticPoint(form=(1, 0, -2), points=((1, 1), (0, 1)))
+    with pytest.raises(ValueError, match=r"\(0, 0\) is not a point"):
+        QuadraticPoint.split((0, 0), (1, 2))
 
 
 def test_stable_height_examples():

@@ -40,6 +40,10 @@ def test_minimal_form_errors():
         minimal_form((2, 3), (0, 0))
     with pytest.raises(ValueError):
         minimal_form((0, 3), (1, 1))
+    with pytest.raises(ValueError, match="equal length"):
+        WeightedPoint((2, 3), (1,))
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        WeightedPoint((), ())
 
 
 def test_is_minimal():
