@@ -312,14 +312,16 @@ def ord_p(n: int, p: int) -> int:
     return v
 
 
-def power_free_exponents(n: int, m: int) -> list[tuple[int, int]]:
+def power_free_exponents(n: int | FactoredInt, m: int) -> list[tuple[int, int]]:
     """The pairs (p, r) with r = (-ord_p n) mod m > 0, from one factorization
-    of n: |n| * prod(p^r) is the least m-th power that |n| divides; m >= 2."""
+    of n (or from n itself, given as a FactoredInt): |n| * prod(p^r) is the
+    least m-th power that |n| divides; m >= 2."""
     if n == 0:
         raise ValueError("power_free_part of 0 is undefined")
     if m < 2:
         raise ValueError("m must be >= 2")
-    return [(p, -e % m) for p, e in factor(n).factors if e % m]
+    fs = n.factors if isinstance(n, FactoredInt) else factor(n).factors
+    return [(p, -e % m) for p, e in fs if e % m]
 
 
 def power_free_part(n: int, m: int) -> int:

@@ -267,8 +267,6 @@ class RunConfig:
             raise UsageError("schedule ratio must exceed 1 (strictly increasing)")
         if self.b0 <= 0:
             raise UsageError("schedule start must be positive")
-        if self.threads < 1:
-            raise UsageError("thread count must be >= 1")
         if self.format not in ("csv", "json", "plot"):
             raise UsageError(f"unknown format {self.format!r}")
         try:  # the report stores float(B), so the bounds must stay distinct floats

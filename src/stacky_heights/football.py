@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .adelic import ExactHeight, HeightBreakdown, combine
-from .arith import factor, power_free_exponents
+from .arith import FactoredInt, factor, power_free_exponents
 from .classifying import PowerClass, bmun_height
 
 __all__ = [
@@ -55,9 +55,15 @@ class StackyPointError(ValueError):
 
 @dataclass(frozen=True)
 class RootedLine:
-    """Roots as ((u, v), order) pairs: the form u*X + v*Y with order m >= 2."""
+    """Roots as ((u, v), order) pairs: the form u*X + v*Y with order m >= 2.
+
+    orders and their lcm L, the common denominator of every height on the
+    line, are computed once, at construction.
+    """
 
     roots: tuple[tuple[tuple[int, int], int], ...]
+    orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    lcm: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for (u, v), m in self.roots:
@@ -71,10 +77,9 @@ class RootedLine:
             for (u2, v2), _ in self.roots[i + 1 :]:
                 if u1 * v2 - u2 * v1 == 0:
                     raise ValueError("root forms must be pairwise non-proportional")
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.roots)
+        orders = tuple(m for _, m in self.roots)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "lcm", math.lcm(*orders))
 
     def values_at(self, point: tuple[int, int]) -> list[int]:
         a, b = point
@@ -94,19 +99,25 @@ class StackDivisor:
     stacky: tuple[int, ...] = ()
 
     def degree(self, line: RootedLine) -> Fraction:
+        return Fraction(self._degree_numerator(line), line.lcm)
+
+    def _degree_numerator(self, line: RootedLine) -> int:
+        """deg(D) * L, with L = line.lcm."""
         if len(self.stacky) != len(line.roots):
             raise ValueError("stacky coefficients misaligned with roots")
-        L = math.lcm(*line.orders)
-        num = self.generic * L + sum(n * (L // m) for n, m in zip(self.stacky, line.orders))
-        return Fraction(num, L)
+        L = line.lcm
+        return self.generic * L + sum(n * (L // m) for n, m in zip(self.stacky, line.orders))
 
     def __neg__(self) -> "StackDivisor":
         return StackDivisor(-self.generic, tuple(-n for n in self.stacky))
 
 
-def _generic_point(line: RootedLine, point: Sequence[int]) -> tuple[tuple[int, int], list[int]]:
-    """The point as a coprime pair (a, b), and the root values there;
-    StackyPointError at a root (such points are classes: type1_height)."""
+def _generic_point(
+    line: RootedLine, point: Sequence[int]
+) -> tuple[int, list[int], list[FactoredInt]]:
+    """max(|a|, |b|) for the point as a coprime pair (a, b), the root values
+    there and their factorizations; StackyPointError at a root (such
+    points are classes: type1_height)."""
     a, b = int(point[0]), int(point[1])
     if a == 0 and b == 0:
         raise ValueError("(0, 0) is not a point of P^1")
@@ -117,24 +128,39 @@ def _generic_point(line: RootedLine, point: Sequence[int]) -> tuple[tuple[int, i
         raise StackyPointError(
             f"point ({a}:{b}) is supported at root {values.index(0)}; use type1_height"
         )
-    return (a, b), values
+    return max(abs(a), abs(b)), values, [factor(v) for v in values]
+
+
+def _stable_numerators(
+    deg: int, top: int, values: list[int], facs: list[FactoredInt]
+) -> dict[int, int]:
+    """p -> deg * ord_p(top), the numerators of deg * log top over L; the
+    factorization of top is that of a root value of the same size when
+    there is one, as always on a football (roots at 0 and infinity)."""
+    if not deg:
+        return {}
+    top_factors = next((f for v, f in zip(values, facs) if abs(v) == top), None) or factor(top)
+    return {p: deg * e for p, e in top_factors.factors}
 
 
 def generic_height(
     line: RootedLine, divisor: StackDivisor, point: Sequence[int]
 ) -> HeightBreakdown:
-    """Height breakdown at a generic point (a : b) avoiding all roots."""
-    (a, b), values = _generic_point(line, point)
-    deg = divisor.degree(line)
-    stable = ExactHeight.log_abs(max(abs(a), abs(b)), deg)
+    """Height breakdown at a generic point (a : b) avoiding all roots.
 
-    disc_terms: dict[int, Fraction] = {}
-    for v, n, m in zip(values, divisor.stacky, line.orders):
-        for p, k in factor(abs(v)).factors:
-            if r := -k * n % m:  # fracplus(k n / m) = r / m
-                fp = Fraction(r, m)
-                disc_terms[p] = disc_terms[p] + fp if p in disc_terms else fp
-    discrepancies = {p: ExactHeight({p: c}) for p, c in disc_terms.items()}
+    Every coefficient is built as an int numerator over L = line.lcm.
+    """
+    top, values, facs = _generic_point(line, point)
+    L, deg = line.lcm, divisor._degree_numerator(line)
+    stable = ExactHeight.over(L, _stable_numerators(deg, top, values, facs))
+
+    disc: dict[int, int] = {}
+    for f, n, m in zip(facs, divisor.stacky, line.orders):
+        for p, k in f.factors:
+            if r := -k * n % m:  # fracplus(k n / m) = r / m = r (L / m) / L
+                c = r * (L // m)
+                disc[p] = disc[p] + c if p in disc else c
+    discrepancies = {p: ExactHeight.over(L, {p: c}) for p, c in disc.items()}
     return combine(stable, discrepancies)
 
 
@@ -191,16 +217,17 @@ def tangential_height(line: RootedLine, point: Sequence[int]) -> ExactHeight:
 
     with PFP_m the m-power-free complement.  Exactly equal to
     generic_height(line, tangent_divisor(line), point).total.  PFP_m(v) is
-    read off the factorization of v as exponents, never built and refactored.
+    read off the factorization of v as exponents, never built and refactored,
+    and every coefficient is an int numerator over L = line.lcm.
     """
-    (a, b), values = _generic_point(line, point)
-    terms: dict[int, Fraction] = {}
-    for v, m in zip(values, line.orders):
-        for p, r in power_free_exponents(v, m):
-            c = Fraction(r, m)
-            terms[p] = terms[p] + c if p in terms else c
-    deg = tangent_divisor(line).degree(line)
-    return ExactHeight.log_abs(max(abs(a), abs(b)), deg) + ExactHeight(terms)
+    top, values, facs = _generic_point(line, point)
+    L, deg = line.lcm, tangent_divisor(line)._degree_numerator(line)
+    nums = _stable_numerators(deg, top, values, facs)
+    for f, m in zip(facs, line.orders):
+        for p, r in power_free_exponents(f, m):
+            c = r * (L // m)
+            nums[p] = nums[p] + c if p in nums else c
+    return ExactHeight.over(L, nums)
 
 
 def rdisc(line: RootedLine, point: Sequence[int]) -> ExactHeight:
@@ -210,9 +237,9 @@ def rdisc(line: RootedLine, point: Sequence[int]) -> ExactHeight:
     not divisible by the root order; each such prime is counted once even
     if several roots are stacky over it.
     """
-    _, values = _generic_point(line, point)
-    stacky = (p for v, m in zip(values, line.orders) for p, k in factor(v).factors if k % m)
-    return ExactHeight(dict.fromkeys(stacky, Fraction(1)))
+    _, _, facs = _generic_point(line, point)
+    stacky = (p for f, m in zip(facs, line.orders) for p, k in f.factors if k % m)
+    return ExactHeight.over(1, dict.fromkeys(stacky, 1))
 
 
 def edd(line: RootedLine, point: Sequence[int]) -> ExactHeight:
@@ -229,6 +256,6 @@ def colliding_primes(line: RootedLine, point: Sequence[int]) -> set[int]:
     (the reduced discriminant counts each prime once).  Raises
     StackyPointError at a root, as the heights do.
     """
-    _, values = _generic_point(line, point)
-    seen = Counter(p for v in values for p, _ in factor(v).factors)
+    _, _, facs = _generic_point(line, point)
+    seen = Counter(p for f in facs for p, _ in f.factors)
     return {p for p, k in seen.items() if k > 1}

@@ -13,7 +13,7 @@ with relative accuracy far better than the documented 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -43,10 +43,15 @@ def _primitive_pair(p) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class QuadraticPoint:
-    """Either an irreducible quadratic form or a split pair of rational points."""
+    """Either an irreducible quadratic form or a split pair of rational points.
+
+    The field discriminant is computed once, from one factorization of
+    b^2 - 4ac, when the point is built.
+    """
 
     form: Optional[tuple[int, int, int]] = None
     points: Optional[tuple[tuple[int, int], tuple[int, int]]] = None
+    _field_disc: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.form is None) == (self.points is None):
@@ -60,12 +65,14 @@ class QuadraticPoint:
             disc = b * b - 4 * a * c
             if disc >= 0 and math.isqrt(disc) ** 2 == disc:
                 raise ValueError("form is reducible over Q (square discriminant)")
+            object.__setattr__(self, "_field_disc", quadratic_field_discriminant(disc))
         else:
             object.__setattr__(
                 self,
                 "points",
                 tuple(_primitive_pair(p) for p in self.points),
             )
+            object.__setattr__(self, "_field_disc", 1)
 
     @classmethod
     def irreducible(cls, a: int, b: int, c: int) -> "QuadraticPoint":
@@ -81,10 +88,7 @@ class QuadraticPoint:
 
     def field_discriminant(self) -> int:
         """Discriminant of the field generated by a root (1 if split)."""
-        if self.is_split:
-            return 1
-        a, b, c = self.form
-        return quadratic_field_discriminant(b * b - 4 * a * c)
+        return self._field_disc
 
 
 def _weil_height(pt: tuple[int, int]) -> float:

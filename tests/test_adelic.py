@@ -168,8 +168,8 @@ def test_height_from_sections_rejects_non_rationals(bad):
         height_from_sections(2, [bad, 3])
 
 
-# Canonical form: every stored coefficient is a nonzero Fraction, and the
-# arithmetic agrees with a Counter of Fractions summed here.
+# Canonical form: terms reads every coefficient back as a nonzero Fraction,
+# and the arithmetic agrees with a Counter of Fractions summed here.
 POOL = [2, 3, 5, 7, 1_000_003]
 coefficients = st.one_of(
     st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -243,4 +243,75 @@ def test_height_from_sections_keeps_canonical_form(n, drawn):
     for p in POOL:
         low = min(ords.get(p, 0) for _, ords in drawn)
         want[p] = F(drawn[top][1].get(p, 0), n) + math.ceil(F(-low, n))
-    assert canonical(height_from_sections(n, values)) == reference((want, 1))
+    got = height_from_sections(n, values)
+    assert canonical(got) == reference((want, 1))
+    # the section evaluator is one more route to the same canonical form
+    for h in routes(reference((want, 1)), 2).values():
+        assert h == got and hash(h) == hash(got)
+
+
+def routes(terms, k):
+    """The height with these Fraction coefficients, built by each
+    construction route.  The int numerators are taken over k times the
+    least common denominator, and log_abs is fed p^k, so for k > 1 every
+    route but the Fraction map starts from unreduced input."""
+    D = k * math.lcm(*(F(c).denominator for c in terms.values()))
+    nums = {p: int(F(c) * D) for p, c in terms.items()}
+    return {
+        "fractions": ExactHeight(terms),
+        "ints": ExactHeight.over(D, nums),
+        "log_abs": sum(
+            (ExactHeight.log_abs(p**k, F(c) / k) for p, c in terms.items()), ExactHeight.zero()
+        ),
+        "scaling": ExactHeight.over(1, nums) * F(1, D),
+        "combine": combine(
+            ExactHeight({p: c for p, c in terms.items() if c <= 0}),
+            {p: ExactHeight({p: c}) for p, c in terms.items() if c > 0},
+        ).total,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_maps, term_maps, st.booleans(), st.integers(1, 4), st.integers(1, 4))
+def test_every_route_gives_one_canonical_form(a, b, same, ka, kb):
+    # heights compare and hash equal exactly when their Fraction references
+    # agree, whichever routes built them and however unreduced their input
+    if same:
+        b = {p: F(c) for p, c in a.items()}
+    built = [
+        (name, reference((m, 1)), h)
+        for m, k in ((a, ka), (b, kb))
+        for name, h in routes(m, k).items()
+    ]
+    for name, ref, h in built:
+        assert canonical(h) == ref, name
+        for name2, ref2, h2 in built:
+            assert (h == h2) == (ref == ref2), (name, name2)
+            if ref == ref2:
+                assert hash(h) == hash(h2), (name, name2)
+
+
+def test_int_constructor_reduces_to_lowest_terms():
+    h = ExactHeight.over(4, {2: 2, 3: 0, 5: -6})
+    assert h.terms == {2: F(1, 2), 5: F(-3, 2)}
+    assert h.coefficient(2) == F(1, 2) and h.coefficient(3) == 0
+    assert h.to_json()["terms"] == [[2, 1, 2], [5, -3, 2]]
+    assert h == ExactHeight({2: F(1, 2), 5: F(-3, 2)})
+    # one shared denominator, but each coefficient reads back reduced
+    assert ExactHeight.over(6, {2: 3, 3: 2}).to_json()["terms"] == [[2, 1, 2], [3, 1, 3]]
+    assert ExactHeight.over(3, {7: 6}) == ExactHeight({7: 2})
+    assert ExactHeight.over(5, {7: 0}) == ExactHeight.zero()
+
+
+@pytest.mark.parametrize("den", [0, -1, -4])
+def test_int_constructor_rejects_denominator_below_1(den):
+    with pytest.raises(ValueError, match="denominator"):
+        ExactHeight.over(den, {2: 1})
+
+
+@pytest.mark.parametrize("bad", [F(1, 2), 0.5, Decimal(1), "1"], ids=lambda x: type(x).__name__)
+def test_int_constructor_rejects_non_ints(bad):
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        ExactHeight.over(2, {3: bad})
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        ExactHeight.over(bad, {3: 1})

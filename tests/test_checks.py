@@ -23,9 +23,10 @@ def test_corrupted_power_free_part_fails_edd_suite(monkeypatch):
     real = fb.power_free_exponents
 
     def poisoned(n, m):
-        # the power-free part times 4 when |n| % 97 == 5
+        # the power-free part times 4 when |n| % 97 == 5; the root values
+        # arrive as their FactoredInt factorizations
         exps = dict(real(n, m))
-        if abs(n) % 97 == 5:
+        if abs(int(n)) % 97 == 5:
             exps[2] = exps.get(2, 0) + 2
         return sorted(exps.items())
 

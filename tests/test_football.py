@@ -192,6 +192,24 @@ def test_tangential_height_factors_only_root_values_and_max(factor_calls):
         assert set(factor_calls) == expected, (a, b)
 
 
+def test_generic_height_factors_each_root_value_once(factor_calls):
+    # on a football max(|a|, |b|) is a root value, so the stable term reads
+    # its exponents from the root loop's factorization
+    for s, t in [(5, 12), (-7, 3), (1_000_003, 2), (1, 1)]:
+        factor_calls.clear()
+        generic_height(football(2, 3), StackDivisor(0, (1, -1)), (t**2, s**3))
+        assert sorted(factor_calls) == sorted([t**2, abs(s) ** 3]), (s, t)
+
+
+def test_rooted_line_orders_and_lcm():
+    line = RootedLine((((1, 0), 4), ((1, 1), 6), ((0, 1), 3)))
+    assert line.orders == (4, 6, 3) and line.lcm == 12
+    assert UNROOTED.orders == () and UNROOTED.lcm == 1
+    assert line == RootedLine(line.roots) and hash(line) == hash(RootedLine(line.roots))
+    # every coefficient is a numerator over the lcm of the orders
+    assert StackDivisor(1, (1, -1, 2)).degree(line) == 1 + F(1, 4) - F(1, 6) + F(2, 3)
+
+
 def test_edd_tangential_identity_random_clean_points():
     from stacky_heights.checks import random_clean_point, random_rooted_line
 

@@ -5,7 +5,7 @@ function is memoized with functools.lru_cache or functools.cache, so no
 module holds process-wide state.  Every private module-level name is read
 somewhere in src/, so no helper lives on only for the tests.  Each trusted
 construction path is used only in its home module (ExactHeight._of and its
-_terms map in adelic.py, FactoredInt._from_sorted in arith.py,
+_den and _nums fields in adelic.py, FactoredInt._from_sorted in arith.py,
 PowerClass._from_factors in classifying.py), so every other module goes
 through the validating constructor.  The height modules and the CLI import
 neither numpy nor the counting layer (counting, checks) when they are
@@ -134,7 +134,8 @@ def test_every_private_name_is_read_in_src():
 # attribute name -> the one module allowed to reference it.
 TRUSTED_HOMES = {
     "_of": "adelic.py",  # ExactHeight._of skips the coefficient checks
-    "_terms": "adelic.py",  # ExactHeight's unguarded map
+    "_den": "adelic.py",  # ExactHeight's shared denominator, unguarded
+    "_nums": "adelic.py",  # ExactHeight's numerator map, unguarded
     "_from_sorted": "arith.py",  # FactoredInt without its ordering checks
     "_from_factors": "classifying.py",  # PowerClass that trusts its factors
 }
@@ -152,14 +153,15 @@ def trusted_attribute_uses(sources: dict[str, str]) -> list[str]:
 
 
 def test_detector_flags_a_trusted_attribute_outside_adelic():
-    inside = "h = ExactHeight._of({})\nt = h._terms\n"
-    outside = "t = h.terms\nh = ExactHeight._of({})\nif h._terms:\n    pass\n"
+    inside = "h = ExactHeight._of(1, {})\nt = h._nums\nd = h._den\n"
+    outside = "t = h.terms\nh = ExactHeight._of(1, {})\nif h._nums:\n    d = h._den\n"
     assert trusted_attribute_uses({"adelic.py": inside}) == []
     assert trusted_attribute_uses({"football.py": outside}) == [
+        "_den (football.py:4)",
+        "_nums (football.py:3)",
         "_of (football.py:2)",
-        "_terms (football.py:3)",
     ]
-    assert trusted_attribute_uses({"checks.py": "_terms = 1\nof = h.of\n"}) == []
+    assert trusted_attribute_uses({"checks.py": "_nums = 1\nof = h.of\n"}) == []
 
 
 def test_detector_flags_each_trusted_path_outside_its_home():

@@ -81,6 +81,19 @@ def test_field_discriminant_factors_the_discriminant_once(factor_calls):
     assert set(factor_calls) == {588, 72}
 
 
+def test_sym2_heights_share_one_factorization(factor_calls):
+    # the discriminant is factored once per point, when it is built; the
+    # heights and field_discriminant() read what it found
+    q = QuadraticPoint.irreducible(3, 1, -1)  # b^2 - 4ac = 13
+    assert factor_calls == [13]
+    sym_height(q)
+    discrepancy(q)
+    assert q.field_discriminant() == 13
+    assert factor_calls == [13]
+    assert QuadraticPoint.split((1, 1), (2, 1)).field_discriminant() == 1
+    assert factor_calls == [13]
+
+
 def test_abs_height_examples():
     assert math.isclose(
         abs_height(QuadraticPoint.irreducible(1, 0, -2)), math.sqrt(2), rel_tol=1e-12
