@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -192,11 +192,14 @@ def _sum(heights: tuple[ExactHeight, ...]) -> ExactHeight:
 
 @dataclass(frozen=True)
 class HeightBreakdown:
-    """Stable height plus per-prime local discrepancies; total is their sum."""
+    """Stable height plus per-prime local discrepancies; total is their sum.
+
+    Built by combine, which computes the total; every field is required.
+    """
 
     stable: ExactHeight
-    discrepancies: dict[int, ExactHeight] = field(default_factory=dict)
-    total: ExactHeight = field(default_factory=ExactHeight)
+    discrepancies: dict[int, ExactHeight]
+    total: ExactHeight
 
     def to_json(self) -> dict:
         return {
@@ -209,13 +212,15 @@ class HeightBreakdown:
 
     @staticmethod
     def from_json(obj: dict) -> "HeightBreakdown":
-        return HeightBreakdown(
-            stable=ExactHeight.from_json(obj["stable"]),
-            discrepancies={
-                int(p): ExactHeight.from_json(h) for p, h in obj["discrepancies"]
-            },
-            total=ExactHeight.from_json(obj["total"]),
+        """Rebuild through combine; ValueError if the stored total is not
+        the sum of the stored parts."""
+        hb = combine(
+            ExactHeight.from_json(obj["stable"]),
+            {int(p): ExactHeight.from_json(h) for p, h in obj["discrepancies"]},
         )
+        if hb.total != ExactHeight.from_json(obj["total"]):
+            raise ValueError("stored total is not stable + sum of discrepancies")
+        return hb
 
 
 def combine(

@@ -153,15 +153,23 @@ def generic_height(
     top, values, facs = _generic_point(line, point)
     L, deg = line.lcm, divisor._degree_numerator(line)
     stable = ExactHeight.over(L, _stable_numerators(deg, top, values, facs))
+    disc = _discrepancy_numerators(line, divisor, facs)
+    return combine(stable, {p: ExactHeight.over(L, {p: c}) for p, c in disc.items()})
 
+
+def _discrepancy_numerators(
+    line: RootedLine, divisor: StackDivisor, facs: list[FactoredInt]
+) -> dict[int, int]:
+    """p -> L * sum_i fracplus(ord_p(L_i) n_i / m_i), the discrepancy
+    numerators over L = line.lcm; each is positive."""
+    L = line.lcm
     disc: dict[int, int] = {}
     for f, n, m in zip(facs, divisor.stacky, line.orders):
         for p, k in f.factors:
             if r := -k * n % m:  # fracplus(k n / m) = r / m = r (L / m) / L
                 c = r * (L // m)
                 disc[p] = disc[p] + c if p in disc else c
-    discrepancies = {p: ExactHeight.over(L, {p: c}) for p, c in disc.items()}
-    return combine(stable, discrepancies)
+    return disc
 
 
 def type1_height(
@@ -243,10 +251,20 @@ def rdisc(line: RootedLine, point: Sequence[int]) -> ExactHeight:
 
 
 def edd(line: RootedLine, point: Sequence[int]) -> ExactHeight:
-    """Expected deformation dimension: rdisc minus the dual-tangent height."""
-    neg_tangent = -tangent_divisor(line)
-    h_dual = generic_height(line, neg_tangent, point).total
-    return -h_dual + rdisc(line, point)
+    """Expected deformation dimension: rdisc minus the dual-tangent height.
+
+    -h(-T) is one numerator map over L = line.lcm, with no breakdown: the
+    stable numerators of deg(T) less the discrepancy numerators of -T.
+    rdisc factors each root value a second time; letting it reuse these
+    factorizations waits on ROADMAP item 1 (the benchmark tracer requires
+    rdisc's own span on its heights workload).
+    """
+    top, values, facs = _generic_point(line, point)
+    tangent = tangent_divisor(line)
+    nums = _stable_numerators(tangent._degree_numerator(line), top, values, facs)
+    for p, c in _discrepancy_numerators(line, -tangent, facs).items():
+        nums[p] = nums[p] - c if p in nums else -c
+    return ExactHeight.over(line.lcm, nums) + rdisc(line, point)
 
 
 def colliding_primes(line: RootedLine, point: Sequence[int]) -> set[int]:

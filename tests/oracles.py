@@ -30,6 +30,41 @@ def trial_division(n):
     return sorted(out.items())
 
 
+def naive_rooted_height(roots, divisor, point):
+    """The term maps {p: Fraction} of the height of a generic point and of
+    edd on a rooted line, from trial_division and Fraction only.
+
+    roots are (u, v, m) for the form u X + v Y of order m, divisor is
+    (d, (n_1, ...)) for d [P] + sum n_i/m_i [root_i], and point is an
+    integer pair off the roots.  The height is
+    deg * log max(|a|, |b|) + sum_{i, p} fracplus(ord_p(L_i) n_i / m_i) log p
+    at the coprime (a, b), fracplus(q) = ceil(q) - q; edd is the reduced
+    discriminant (log p once for each p with some ord_p(L_i) not divisible
+    by m_i) minus the height against -T = -2 [P] + sum (m_i - 1)/m_i [root_i].
+    """
+    g = gcd(*point)
+    a, b = point[0] // g, point[1] // g
+    values = [u * a + v * b for u, v, _ in roots]
+    assert 0 not in values, "point on a root"
+    top = trial_division(max(abs(a), abs(b)))
+
+    def height(d, ns):
+        deg = d + sum(F(n, m) for n, (_, _, m) in zip(ns, roots))
+        terms = {p: deg * e for p, e in top}
+        for x, n, (_, _, m) in zip(values, ns, roots):
+            for p, k in trial_division(x):
+                q = F(k * n, m)
+                terms[p] = terms.get(p, 0) + (-(-q.numerator // q.denominator) - q)
+        return terms
+
+    h = height(divisor[0], divisor[1])
+    e = {p: -c for p, c in height(-2, [m - 1 for _, _, m in roots]).items()}
+    stacky = {p for x, (_, _, m) in zip(values, roots) for p, k in trial_division(x) if k % m}
+    for p in stacky:
+        e[p] = e.get(p, 0) + 1
+    return ({p: c for p, c in h.items() if c}, {p: c for p, c in e.items() if c})
+
+
 def td_is_prime(n):
     """Primality by trial division by 2 and the odd numbers to sqrt(n)."""
     if n < 2:

@@ -134,6 +134,29 @@ def test_breakdown_json_roundtrip():
     assert back.discrepancies == hb.discrepancies
 
 
+def test_breakdown_requires_every_field():
+    # a total defaulted to zero would contradict "total is their sum"
+    with pytest.raises(TypeError):
+        HeightBreakdown(ExactHeight({2: 1}))
+    with pytest.raises(TypeError):
+        HeightBreakdown(ExactHeight({2: 1}), {})
+
+
+def test_breakdown_from_json_rejects_a_wrong_total():
+    obj = combine(ExactHeight({5: F(1, 6)}), {2: ExactHeight({2: F(1, 2)})}).to_json()
+    obj["total"] = ExactHeight({5: F(1, 6)}).to_json()
+    with pytest.raises(ValueError, match="stored total"):
+        HeightBreakdown.from_json(obj)
+    # the parts still go through combine's checks
+    obj = {
+        "stable": ExactHeight.zero().to_json(),
+        "discrepancies": [[2, ExactHeight({2: -1}).to_json()]],
+        "total": ExactHeight({2: -1}).to_json(),
+    }
+    with pytest.raises(ValueError, match="negative discrepancy"):
+        HeightBreakdown.from_json(obj)
+
+
 # Only ints and Fractions are exact: each entry point refuses a float, a
 # Decimal and a str with a TypeError naming the type.
 NOT_RATIONAL = [0.3, Decimal("0.3"), "3/10"]

@@ -3,6 +3,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from oracles import naive_rooted_height
 
 from stacky_heights.adelic import ExactHeight
 from stacky_heights.classifying import PowerClass, class_of
@@ -231,3 +234,73 @@ def test_edd_differs_from_tangential_on_collision():
     e = edd(line, pt)
     assert e != t
     assert t - e == ExactHeight({2: 1})  # exactly one extra log 2
+
+
+def test_edd_factors_each_root_value_twice(factor_calls):
+    # once by edd's own pass and once by rdisc; on a football max(|a|, |b|)
+    # is a root value and is not factored on its own.  ROADMAP item 1 lets
+    # rdisc reuse edd's factorizations, and the count drop to once.
+    for s, t in [(5, 12), (-7, 3), (1_000_003, 2), (1, 1)]:
+        factor_calls.clear()
+        edd(football(2, 3), (t**2, s**3))
+        assert sorted(factor_calls) == sorted([t**2, abs(s) ** 3] * 2), (s, t)
+
+
+def _line_of(roots):
+    """The roots (u, v, m) with a zero, non-primitive or proportional form
+    dropped, and their RootedLine."""
+    kept = []
+    for u, v, m in roots:
+        if (u, v) == (0, 0) or math.gcd(u, v) != 1:
+            continue
+        if any(u * v2 - u2 * v == 0 for u2, v2, _ in kept):
+            continue
+        kept.append((u, v, m))
+    return kept, RootedLine(tuple(((u, v), m) for u, v, m in kept))
+
+
+# (roots, d, (n_i), point) with a prime dividing two root values: there
+# edd and the tangential height differ, and only the oracle checks edd.
+COLLIDING = [
+    ([(1, 0, 2), (1, 2, 2)], 1, [1, 1, 0, 0], (2, 3)),  # values 2 and 8
+    ([(1, 0, 3), (1, 3, 2)], -1, [5, -3, 0, 0], (3, 1)),  # 3 and 6
+    ([(1, -1, 4), (1, 1, 6), (0, 1, 5)], 0, [3, -5, 7, 0], (5, 1)),  # 4 and 6
+    ([(1, 0, 2), (0, 1, 3), (1, 1, 5), (1, -1, 6)], 2, [-1, -2, -4, -5], (-15, 7)),
+]
+
+
+@pytest.mark.parametrize("roots, d, ns, point", COLLIDING)
+def test_pinned_points_collide(roots, d, ns, point):
+    kept, line = _line_of(roots)
+    assert kept == roots and colliding_primes(line, point)
+
+
+def _with_collisions(test):
+    for args in COLLIDING:
+        test = example(*args)(test)
+    return test
+
+
+roots_st = st.lists(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(2, 6)), max_size=4
+)
+coord_st = st.integers(-(10**4), 10**4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots_st,
+    st.integers(-3, 3),
+    st.lists(st.integers(-12, 12), min_size=4, max_size=4),
+    st.tuples(coord_st, coord_st),
+)
+@example([(1, 0, 2), (0, 1, 3)], 0, [-1, 2, 0, 0], (4, 1))
+@example([(1, 0, 2), (1, 1, 2), (0, 1, 2)], 2, [-1, -1, -1, 0], (-2, 3))
+@_with_collisions
+def test_heights_match_the_trial_division_oracle(roots, d, ns, point):
+    roots, line = _line_of(roots)
+    assume(point != (0, 0) and 0 not in line.values_at(point))
+    divisor = (d, tuple(ns[: len(roots)]))
+    height, want_edd = naive_rooted_height(roots, divisor, point)
+    assert generic_height(line, StackDivisor(*divisor), point).total.terms == height
+    assert edd(line, point).terms == want_edd
