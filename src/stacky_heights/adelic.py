@@ -32,6 +32,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .arith import factor
@@ -195,11 +196,19 @@ class HeightBreakdown:
     """Stable height plus per-prime local discrepancies; total is their sum.
 
     Built by combine, which computes the total; every field is required.
+    discrepancies is a read-only copy of the mapping given, so a breakdown
+    is immutable and hashable.
     """
 
     stable: ExactHeight
-    discrepancies: dict[int, ExactHeight]
+    discrepancies: Mapping[int, ExactHeight]
     total: ExactHeight
+
+    def __post_init__(self):
+        object.__setattr__(self, "discrepancies", MappingProxyType(dict(self.discrepancies)))
+
+    def __hash__(self):
+        return hash((self.stable, frozenset(self.discrepancies.items()), self.total))
 
     def to_json(self) -> dict:
         return {

@@ -120,8 +120,8 @@ def bmu3_vector_height(c: PowerClass) -> ExactHeight:
 
 def quadratic_height(d: int) -> ExactHeight:
     """(1/2) log |disc| of the quadratic field Q(sqrt(d)), d squarefree."""
-    disc = fundamental_discriminant(d)  # d or 4d: factor d once, not 4d again
-    return (ExactHeight.log_abs(d) + ExactHeight.log_abs(disc // d)) * Fraction(1, 2)
+    four = fundamental_discriminant(d) != d  # disc = 4d: (1/2) log 4 is log 2
+    return ExactHeight.log_abs(d, Fraction(1, 2)) + ExactHeight({2: 1 if four else 0})
 
 
 Perm = tuple[int, ...]

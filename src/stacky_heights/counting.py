@@ -34,7 +34,6 @@ import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -182,22 +181,17 @@ def _prime_divisors_from_5(limit: int) -> list[list[int]]:
 def _power_free_window(lo: int, hi: int, m: int, primes) -> np.ndarray:
     """Phi_m(k) for k in [lo, hi); primes must cover isqrt(hi - 1).
 
-    For m = 2 each k is divided by p^2 as often as it goes, touching only
-    the multiples of p^2, and what remains is the squarefree part.  Larger
-    m extracts every exponent and multiplies the complements back in.
+    For m = 2 each k is divided by p^2 once per p^(2j) dividing it, one
+    strided slice per power, and what remains is the squarefree part.
+    Larger m extracts every exponent and multiplies the complements back in.
     """
     rem = np.arange(lo, hi, dtype=np.int64)
     if m == 2:
-        for p in primes:
-            p2 = int(p) * int(p)
-            if p2 >= hi:
-                break
-            mult = rem[-(-lo // p2) * p2 - lo :: p2]  # view: multiples of p^2
-            mult //= p2
-            cur = np.nonzero(mult % p2 == 0)[0]
-            while len(cur):
-                mult[cur] //= p2
-                cur = cur[mult[cur] % p2 == 0]
+        for p in primes.tolist():
+            pk = p * p
+            while pk < hi:
+                rem[-lo % pk :: pk] //= p * p
+                pk *= p * p
         return rem
     res = np.ones(hi - lo, dtype=np.int64)
     for p in primes:
@@ -313,15 +307,12 @@ def count_quadratic_fields(X: Bounds) -> Counts:
             odd = k % 2 == 1
             mu, k2 = mu[odd], k[odd] ** 2
             for i, cut in enumerate(np.searchsorted(k2, levels, side="right").tolist()):
-                top, Y = levels[i], levels[i] // 4
-                # #{squarefree e <= M, e = r mod 4} (r = 1, 2, 3) is the sum of mu(k)
-                # ((M // k^2 + 4 - r) // 4): k^2 | e forces k odd, k^2 = 1 mod 8 keeps r.
-                # d > 1: d = 1 mod 4 measured by |d|, the rest by 4|d|; d = -e < 0:
-                # the discriminant is -e when e = 3 mod 4, else -4e
-                counts[i] += sum(
-                    int(mu[:cut] @ ((M // k2[:cut] + 4 - r) // 4))
-                    for r, M in ((1, top), (2, Y), (3, Y), (3, top), (1, Y), (2, Y))
-                )
+                # squarefree e = r mod 4 up to M: sum of mu(k) #{f <= M // k^2, f = r mod 4}
+                # (k^2 | e forces k odd, and k^2 = 1 mod 8 keeps r).  Discriminant +-e: each
+                # odd e <= X, as d = e = 1 or d = -e = 3 mod 4.  Discriminant +-4e: e <= X/4
+                # with e = 2 mod 4 for both signs of d, e = 1 or 3 mod 4 for one
+                x, y = levels[i] // k2[:cut], (levels[i] // 4) // k2[:cut]
+                counts[i] += int(mu[:cut] @ ((x + 1) // 2 + y - y // 4 + (y + 2) // 4))
         return counts
 
     return _schedule(X, level, count_levels)
@@ -558,7 +549,7 @@ def count_football222(B: Bounds, threads: int = 1) -> Counts:
 # p^2 - 1 - a q^2 top is at least 2 p - 2 >= 0 since a top q^2 <= (p - 1)^2.
 
 _QP_NUMERATOR_LIMIT = 1 << 31  # kept so the accepted domain is unchanged
-_QP_MAX_FLOOR = 1 << 23  # the totient tables take about 90 bytes per unit of floor(B^2)
+_QP_MAX_FLOOR = 1 << 23  # the totient tables take about 38 bytes per unit of floor(B^2)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -593,13 +584,15 @@ def _count_reducible(T2s: Sequence[int]) -> list[int]:
     forms p x + q with p >= 1, and M(f g) = max(p, |q|) max(r, |s|).  There
     are L(1) = 3 linear forms of height 1 and L(h) = 4 phi(h) of height
     h >= 2, so the count is (sum_{h1 h2 <= T2} L(h1) L(h2) + sum_{h^2 <= T2}
-    L(h)) / 2, summed in Python integers.
+    L(h)) / 2, one dot product per T2.
     """
-    L = (4 * _totient_upto(T2s[-1])).tolist()
+    L = 4 * _totient_upto(T2s[-1])
     L[0], L[1] = 0, 3
-    S = list(accumulate(L))  # S[n] = L(1) + ... + L(n)
+    # int64 is exact: L(h) <= 4h and S[n] <= 4 n^2, so the dot product is at
+    # most 16 T2^2 (1 + ln T2) < 2e16 at T2 = 2^23 (it reads 3.5e15 there)
+    S = np.cumsum(L)  # S[n] = L(1) + ... + L(n)
     return [
-        (sum(L[h] * S[T2 // h] for h in range(1, T2 + 1)) + S[math.isqrt(T2)]) // 2
+        (int(L[1 : T2 + 1] @ S[T2 // np.arange(1, T2 + 1)]) + int(S[math.isqrt(T2)])) // 2
         for T2 in T2s
     ]
 

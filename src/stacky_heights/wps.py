@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .adelic import ExactHeight, _section_height
-from .arith import factor, ord_p
+from .arith import factor
 
 __all__ = [
     "WeightedPoint",
@@ -60,7 +60,11 @@ def _descent(weights: tuple[int, ...], coords: tuple[int, ...]) -> int:
     if g == 1:
         return 1
     nz = [(m, a) for m, a in zip(coords, weights) if m != 0]
-    return math.prod(p ** min(ord_p(m, p) // a for m, a in nz) for p, _ in factor(g).factors)
+    lam = 1
+    for p, _ in factor(g).factors:  # lam^{a_i} | M_i holds throughout
+        while all(m % (lam * p) ** a == 0 for m, a in nz):
+            lam *= p
+    return lam
 
 
 def minimal_form(weights, coords) -> WeightedPoint:
@@ -105,7 +109,10 @@ def height_Oj(pt: WeightedPoint, j: int) -> ExactHeight:
     A = math.lcm(*pt.weights)
     nz = [(m, a) for m, a in zip(pt.coords, pt.weights) if m != 0]
     ords = [{p: j * A // a * e for p, e in factor(m).factors} for m, a in nz]
-    top = max(range(len(nz)), key=lambda i: abs(nz[i][0]) ** (A // nz[i][1]))
+    top = 0  # the first i with the largest |M_i|^(1/a_i): compare |M_i|^a_top, |M_top|^a_i
+    for i, (m, a) in enumerate(nz):
+        if abs(m) ** nz[top][1] > abs(nz[top][0]) ** a:
+            top = i
     return _section_height(A, ords, top)
 
 

@@ -1,17 +1,10 @@
-"""Naive enumeration oracles, deliberately independent of the sieved
-counting kernels: plain loops, per-element factorizations, float root
-finding.  Used by the unit tests and the acceptance suite."""
+"""Naive enumeration oracles, deliberately independent of the program:
+plain loops, factorizations by trial division, Mahler measures bracketed
+from the roots.  This module imports nothing from stacky_heights.  Used by
+the unit tests and the acceptance suite."""
 
 from fractions import Fraction as F
 from math import gcd, isqrt, prod
-
-from stacky_heights.arith import (
-    _mahler_squared,
-    factor,
-    fundamental_discriminant,
-    power_free_part,
-    squarefree_part,
-)
 
 
 def trial_division(n):
@@ -28,6 +21,11 @@ def trial_division(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return sorted(out.items())
+
+
+def td_power_free_part(n, m):
+    """The least k >= 1 with |n| k an m-th power, from trial_division."""
+    return prod(p ** (-e % m) for p, e in trial_division(n))
 
 
 def naive_rooted_height(roots, divisor, point):
@@ -76,18 +74,25 @@ def td_is_prime(n):
 
 def naive_bmun(n, B):
     X = int(F(B) ** n)
-    c = sum(1 for N in range(1, X + 1) if all(e < n for _, e in factor(N).factors))
+    c = sum(1 for N in range(1, X + 1) if all(e < n for _, e in trial_division(N)))
     return 2 * c if n % 2 == 0 else c
 
 
-def naive_quadratic_fields(X):
-    cnt = 0
+def naive_quadratic_field_discriminants(X):
+    """The |disc| <= X of the quadratic fields, ascending: d or 4d for the
+    squarefree d not in {0, 1}, as d = 1 mod 4 or not."""
+    out = []
     for d in range(-X, X + 1):
-        if d in (0, 1) or any(e > 1 for _, e in factor(d).factors if d):
+        if d in (0, 1) or any(e > 1 for _, e in trial_division(d)):
             continue
-        if abs(fundamental_discriminant(d)) <= X:
-            cnt += 1
-    return cnt
+        disc = abs(d if d % 4 == 1 else 4 * d)
+        if disc <= X:
+            out.append(disc)
+    return sorted(out)
+
+
+def naive_quadratic_fields(X):
+    return len(naive_quadratic_field_discriminants(X))
 
 
 def naive_football222(B):
@@ -99,9 +104,9 @@ def naive_football222(B):
             if gcd(a, b) != 1:
                 continue
             v = (
-                power_free_part(a, 2)
-                * power_free_part(b, 2)
-                * power_free_part(a + b, 2)
+                td_power_free_part(a, 2)
+                * td_power_free_part(b, 2)
+                * td_power_free_part(a + b, 2)
                 * max(a, b)
             )
             if v < T:
@@ -120,11 +125,11 @@ def naive_f222_rows(T):
     """
     rows = []
     for t in range(1, isqrt(T) + 1):
-        if squarefree_part(t) != t:
+        if td_power_free_part(t, 2) != t:
             continue
         u = 1
         while t * t * u <= T and u * u * t < 2 * T:
-            if squarefree_part(u) == u and gcd(t, u) == 1:
+            if td_power_free_part(u, 2) == u and gcd(t, u) == 1:
                 y = 1
                 while t * u * t * y * y <= T:
                     b = t * y * y
@@ -149,23 +154,14 @@ def naive_rooted3(B):
         R += 1
     for a in range(1, R + 2):
         for b in range(1, R + 2):
-            if gcd(a, b) == 1 and power_free_part(a, 3) * max(a, b) ** 4 < T:
+            if gcd(a, b) == 1 and td_power_free_part(a, 3) * max(a, b) ** 4 < T:
                 cnt += 1
     return cnt
 
 
 def mahler_measure_lt(a, b, c, bound):
-    """Exact test M(ax^2+bx+c) < bound, for rational bound > 0."""
-    q, r, s = _mahler_squared(a, b, c)
-    bound = F(bound)
-    t = 4 * bound * bound
-    if r == 0:
-        return q < t
-    # q + r*sqrt(s) < 4 bound^2  <=>  r sqrt(s) < t - q, both sides checked
-    rhs = t - q
-    if rhs <= 0:
-        return False
-    return r * r * s * rhs.denominator**2 < rhs.numerator**2
+    """Exact test M(ax^2+bx+c) < bound, for a != 0 and rational bound > 0."""
+    return _mahler_below(a, b, c, F(bound))
 
 
 def _abs_range(lo, hi):
@@ -174,29 +170,35 @@ def _abs_range(lo, hi):
         return lo, hi
     if hi <= 0:
         return -hi, -lo
-    return F(0), max(-lo, hi)
+    return 0, max(-lo, hi)
 
 
 def _mahler_below(a, b, c, X):
-    """Exact M(a x^2 + b x + c) < X for a >= 1 and a non-square discriminant.
+    """Exact M(a x^2 + b x + c) < X for a != 0 and rational X.
 
-    M = a * max(1, |r1|) * max(1, |r2|) straight from the roots.  Complex
-    roots have |r|^2 = c/a exactly.  Real roots are bracketed through an
-    integer square root of disc at resolution 1/K, and K grows until the
-    bracket of M clears X; one that never does means M = X.
+    M = |a| * max(1, |r1|) * max(1, |r2|) straight from the roots, after a
+    sign change that makes a >= 1.  Complex roots have |r|^2 = c/a exactly,
+    so M = max(a, c).  Real roots are (-b K -+ s) / (2 a K) with s the
+    square root of disc K^2, bracketed between integers; K grows until the
+    bracket of M clears X, and one that never does means M = X.  A square
+    disc gives a bracket of width 0 at once.
     """
+    if a < 0:
+        a, b, c = -a, -b, -c
+    p, q = F(X).numerator, F(X).denominator
     disc = b * b - 4 * a * c
     if disc < 0:
-        return a * max(1, F(c, a)) < X
+        return max(a, c) * q < p
     K = 1 << 64
     while K <= 1 << 1024:
-        s_lo = F(isqrt(disc * K * K), K)
-        s_hi = s_lo + F(1, K)
-        lo1, hi1 = _abs_range((-b + s_lo) / (2 * a), (-b + s_hi) / (2 * a))
-        lo2, hi2 = _abs_range((-b - s_hi) / (2 * a), (-b - s_lo) / (2 * a))
-        if a * max(1, hi1) * max(1, hi2) < X:
+        s_lo = isqrt(disc * K * K)
+        s_hi = s_lo + (s_lo * s_lo != disc * K * K)
+        W = 2 * a * K
+        lo1, hi1 = _abs_range(-b * K + s_lo, -b * K + s_hi)
+        lo2, hi2 = _abs_range(-b * K - s_hi, -b * K - s_lo)
+        if a * max(W, hi1) * max(W, hi2) * q < p * W * W:
             return True
-        if a * max(1, lo1) * max(1, lo2) >= X:
+        if a * max(W, lo1) * max(W, lo2) * q >= p * W * W:
             return False
         K = K * K
     return False
@@ -220,7 +222,7 @@ def naive_quadratic_points(B):
 def naive_v444(cutoff, delta):
     expo = 1 - F(str(delta))
     p, q = expo.numerator, expo.denominator
-    phi4 = [0] + [power_free_part(k, 4) for k in range(1, 2 * cutoff + 1)]
+    phi4 = [0] + [td_power_free_part(k, 4) for k in range(1, 2 * cutoff + 1)]
     out = []
     for b in range(1, cutoff + 1):
         thr = b ** float(expo)
@@ -238,7 +240,7 @@ def naive_v444(cutoff, delta):
 def naive_ap5(cutoff, delta):
     expo = 1 - F(str(delta))
     p, q = expo.numerator, expo.denominator
-    fac = [()] + [factor(k).factors for k in range(1, cutoff + 1)]
+    fac = [()] + [trial_division(k) for k in range(1, cutoff + 1)]
     out = []
     for step in range(1, (cutoff - 1) // 4 + 1):
         for a1 in range(1, cutoff - 4 * step + 1):

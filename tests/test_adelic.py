@@ -134,6 +134,24 @@ def test_breakdown_json_roundtrip():
     assert back.discrepancies == hb.discrepancies
 
 
+def test_breakdown_is_immutable_and_hashable():
+    hb = combine(ExactHeight({2: 1}), {3: ExactHeight({3: 1})})
+    same = combine(ExactHeight({2: 1}), {3: ExactHeight({3: 1})})
+    assert hb == same and hash(hb) == hash(same) and len({hb, same}) == 1
+    assert hb != combine(ExactHeight({2: 1}), {3: ExactHeight({3: 2})})
+    with pytest.raises(TypeError):
+        hb.discrepancies[5] = ExactHeight({5: 1})
+    assert dict(hb.discrepancies) == {3: ExactHeight({3: 1})}
+    assert hb.total == ExactHeight({2: 1, 3: 1})
+
+
+def test_breakdown_keeps_a_copy_of_its_discrepancies():
+    discs = {3: ExactHeight({3: 1})}
+    hb = HeightBreakdown(ExactHeight({2: 1}), discs, ExactHeight({2: 1, 3: 1}))
+    discs[5] = ExactHeight({5: 1})
+    assert set(hb.discrepancies) == {3}
+
+
 def test_breakdown_requires_every_field():
     # a total defaulted to zero would contradict "total is their sum"
     with pytest.raises(TypeError):

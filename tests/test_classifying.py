@@ -186,6 +186,14 @@ def test_quadratic_height_factors_d_not_4d(factor_calls):
     assert 4 * d not in factor_calls and set(factor_calls) <= {d, 4, 1}
 
 
+def test_quadratic_height_factors_d_twice_and_nothing_else(factor_calls):
+    # fundamental_discriminant checks d and log_abs expands it; the 4 of a
+    # discriminant 4d enters as log 2, with no factor(1) or factor(4)
+    assert quadratic_height(-15) == ExactHeight({3: F(1, 2), 5: F(1, 2)})
+    assert quadratic_height(-5) == ExactHeight({2: 1, 5: F(1, 2)})
+    assert factor_calls == [15, 15, 5, 5]
+
+
 def test_quadratic_height_matches_square_class_away_from_2():
     # the quadratic permutation height and the square-class height agree at
     # every odd prime; they may differ at 2 by the discriminant convention

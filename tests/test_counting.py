@@ -1,3 +1,4 @@
+import bisect
 import functools
 import json
 import math
@@ -20,7 +21,9 @@ from stacky_heights.counting import (
     _iroot4_vec,
     _mobius_windows,
     _near_square_window,
+    _power_free_window,
     _prime_divisors_from_5,
+    _primes_upto,
     count_bmun,
     count_football222,
     count_quadratic_fields,
@@ -38,10 +41,12 @@ from oracles import (
     naive_bmun,
     naive_f222_rows,
     naive_football222,
+    naive_quadratic_field_discriminants,
     naive_quadratic_fields,
     naive_quadratic_points,
     naive_rooted3,
     naive_v444,
+    td_power_free_part,
 )
 
 # ----------------------------------------------------------------------
@@ -91,6 +96,22 @@ def test_sieve_segmentation_equivalence():
 def test_sieve_squarefree_matches_per_element_property(n, size):
     table = _sieve_in_windows(n, 2, size)
     assert [int(v) for v in table[1:]] == [power_free_part(k, 2) for k in range(1, n + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(lo=st.integers(1, 10**6), length=st.integers(1, 300))
+def test_squarefree_window_from_any_start_property(lo, length):
+    # each p^(2j) slice of [lo, hi) starts at -lo mod p^(2j), wherever lo falls
+    hi = lo + length
+    window = _power_free_window(lo, hi, 2, _primes_upto(math.isqrt(hi - 1)))
+    assert window.tolist() == [td_power_free_part(k, 2) for k in range(lo, hi)]
+
+
+@pytest.mark.parametrize("size", [3, 5, 8, 10, 24, 26, 48, 50, 120, 122])
+def test_squarefree_sieve_windows_off_prime_squares(size):
+    # windows of p^2 - 1 or p^2 + 1 integers start at every residue mod p^2 in turn
+    table = _sieve_in_windows(3000, 2, size)
+    assert table[1:].tolist() == [td_power_free_part(k, 2) for k in range(1, 3001)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,6 +326,17 @@ def test_count_quadratic_fields_matches_naive():
         assert count_quadratic_fields(X) == naive_quadratic_fields(X), X
 
 
+def test_count_quadratic_fields_matches_naive_at_every_bound_to_2000():
+    discs = naive_quadratic_field_discriminants(2000)
+    assert len(discs) == naive_quadratic_fields(2000)
+    want = [bisect.bisect_right(discs, X) for X in range(2001)]
+    assert count_quadratic_fields(list(range(2001))) == want
+
+
+def test_count_quadratic_fields_at_the_cap():
+    assert count_quadratic_fields(1 << 30) == 652_756_831
+
+
 @settings(max_examples=40, deadline=None)
 @given(X=st.fractions(min_value=0, max_value=300, max_denominator=6))
 def test_count_quadratic_fields_matches_naive_property(X):
@@ -514,6 +546,33 @@ def test_count_reducible_matches_bruteforce():
             and mahler_measure_lt(a, b, c, X)
         )
         assert _count_reducible([math.ceil(X) - 1]) == [brute], X  # M <= T2 iff M < X
+
+
+def test_count_reducible_matches_python_int_sum():
+    # the int64 cumsum and dot products against plain Python integers, with
+    # the totients from a list sieve
+    top = 1 << 16
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    L = [0, 3] + [4 * f for f in phi[2:]]
+    S = [0] * (top + 1)
+    for n in range(1, top + 1):
+        S[n] = S[n - 1] + L[n]
+    rng = random.Random(16)
+    T2s = sorted(
+        set(range(1, 200))
+        | {k * k + e for k in (15, 99, 255) for e in (-1, 0, 1)}
+        | {rng.randrange(200, top) for _ in range(30)}
+        | {top - 1, top}
+    )
+    want = [
+        (sum(L[h] * S[T2 // h] for h in range(1, T2 + 1)) + S[math.isqrt(T2)]) // 2
+        for T2 in T2s
+    ]
+    assert _count_reducible(T2s) == want
 
 
 def test_count_quadratic_points_domain_limit():

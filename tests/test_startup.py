@@ -2,7 +2,8 @@
 counting layer, so `import stacky_heights`, a height from each height
 module and the `height` and `malle` commands leave both unloaded; the ten
 counting names of the package are looked up in stacky_heights.counting on
-each access."""
+each access.  The test oracles load where stacky_heights cannot be
+imported at all, so they share no code with the program."""
 
 import json
 import os
@@ -119,3 +120,28 @@ def test_patched_counting_name_shows_through_the_package(monkeypatch):
 
     monkeypatch.setattr(counting, "count_bmun", fake)
     assert stacky_heights.count_bmun is fake
+
+
+ORACLES = """
+import json, sys
+sys.modules["stacky_heights"] = None  # any import of the program now fails
+sys.path.insert(0, {tests!r})
+import oracles
+print(json.dumps([oracles.naive_bmun(2, 7), oracles.naive_quadratic_fields(60),
+                  oracles.naive_rooted3(6), oracles.naive_quadratic_points(2),
+                  oracles.naive_ap5(300, 0.4), oracles.naive_v444(300, 0.4)]))
+"""
+
+
+def test_oracles_load_without_the_program():
+    done = fresh("-c", ORACLES.format(tests=str(Path(__file__).resolve().parent)))
+    assert done.returncode == 0, done.stderr
+    want = [
+        counting.count_bmun(2, 7),
+        counting.count_quadratic_fields(60),
+        counting.count_rooted3_at_0(6),
+        counting.count_quadratic_points(2),
+        [list(t) for t in counting.vojta_search_ap5(300, 0.4)],
+        [list(t) for t in counting.vojta_search_444(300, 0.4)],
+    ]
+    assert json.loads(done.stdout) == want

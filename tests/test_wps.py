@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -206,6 +208,31 @@ def test_elliptic_examples():
         elliptic_naive_height(0, 0)
     with pytest.raises(ValueError):
         elliptic_naive_height(-3, 2)  # 4(-27) + 27(4) = 0
+
+
+def test_hyperelliptic_genus_8_within_a_time_budget():
+    # A = lcm(4, 6, ..., 34) = 24 504 480: the top coordinate comes from the
+    # cross powers |M_i|^a_j, not from |M_i|^(A / a_i)
+    rng = random.Random(8)
+    coeffs = [rng.randint(-(10**6), 10**6) for _ in range(16)]
+    coeffs[9] = 7 * 10**50 + 1  # weight 22: |M|^(1/22) is about 204, the others below 32
+    assert math.gcd(*coeffs) == 1  # minimal, so no finite part
+    start = time.perf_counter()
+    h = hyperelliptic_height(coeffs)
+    assert time.perf_counter() - start < 1.0
+    assert h == ExactHeight.log_abs(coeffs[9], F(1, 22))
+
+
+def test_descent_reads_valuations_without_primality_tests(monkeypatch, factor_calls):
+    import stacky_heights.arith as arith
+
+    tested = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or real(n))
+    assert minimal_form((4, 6), (6**4 * 5, 6**6 * 7)).coords == (5, 7)
+    assert minimal_form((1, 2, 3), (2 * 9, 0, 2**3 * 3**5)).coords == (3, 0, 3**2)
+    # one factorization of each gcd, and the valuations of its primes by division
+    assert factor_calls == [6**4, 2 * 9] and tested == []
 
 
 def test_hyperelliptic_examples():
